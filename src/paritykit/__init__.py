@@ -10,7 +10,7 @@ r1 + |S1| = r2 + |S2| (mod 2) to check known ranks or deduce an unknown one.
 from .arith import factor, is_prime, jacobi, sieve_primes, valuation
 from .congruence import CongruenceStatus, CongruenceVerdict, check_congruence, sturm_bound
 from .errors import ComputationLimitError
-from .family import FamilyParams, base_curve, member
+from .family import base_curve, member
 from .io import CurveRecord, emit_curve_file, emit_report, parse_curve_file, report_object
 from .local import (
     EulerPoly,
@@ -59,7 +59,6 @@ __all__ = [
     "DeducedRank",
     "DropEvidence",
     "EulerPoly",
-    "FamilyParams",
     "Hypothesis",
     "Invariants",
     "Isomorphism",

@@ -49,10 +49,10 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        e = _valuation(a, 2)
+        a >>= e
+        if e % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -61,11 +61,8 @@ def jacobi(a: int, n: int) -> int:
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = _valuation(n - 1, 2)
+    d = (n - 1) >> r
     for a in bases:
         a %= n
         if a == 0:
@@ -158,9 +155,9 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
     for p in _small_primes():
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            out[p] = _valuation(n, p)
+            n //= p ** out[p]
     if n > 1:
         stack = [n]
         while stack:
@@ -183,7 +180,14 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("valuation of zero is undefined")
     if p < 2 or (p < _IS_PRIME_BOUND and not _is_prime_unchecked(p)):
         raise ValueError("valuation requires a prime modulus, got %d" % p)
-    n = abs(n)
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    # Unchecked valuation for callers that already know p is prime.  Zero gets
+    # a sentinel larger than any exponent compared against it.
+    if n == 0:
+        return 10**9
     e = 0
     while n % p == 0:
         n //= p

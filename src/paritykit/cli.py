@@ -8,16 +8,14 @@ Diagnostics go to stderr; reports go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .arith import is_prime
 from .congruence import CongruenceStatus, check_congruence
 from .errors import ComputationLimitError
 from .family import member
-from .io import emit_report, parse_curve_file, report_object
+from .io import emit_json, emit_report, parse_curve_file, report_object, verdict_object
 from .local import bad_reduction_data, conductor, is_supersingular, tate_local
 from .parity import deduce_rank, parity_relation
 from .weierstrass import minimal_model, parse_curve
@@ -165,16 +163,7 @@ def _cmd_congruent(args) -> int:
     c1, c2 = parse_curve(args.e1), parse_curve(args.e2)
     verdict = check_congruence(c1, c2, p)
     if args.json:
-        obj = {
-            "status": str(verdict.status),
-            "level": verdict.level,
-            "bound": verdict.bound,
-            "checked_primes": verdict.checked_primes,
-            "witness": list(verdict.witness) if verdict.witness else None,
-            "caveat": verdict.caveat,
-        }
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(emit_json(verdict_object(verdict)))
     else:
         sys.stdout.write(
             "%s (level %s, Sturm bound %s, %d primes compared)\n"
@@ -211,8 +200,7 @@ def _cmd_local_info(args) -> int:
         n = conductor(c)
     if args.json:
         obj = {"curve": c.coefficients(), "conductor": n, "local": [_local_row(d) for d in rows]}
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(emit_json(obj))
         return EXIT_OK
     if n is not None:
         sys.stdout.write("conductor %d\n" % n)
@@ -227,8 +215,8 @@ def _cmd_local_info(args) -> int:
 def _cmd_family(args) -> int:
     c = member(args.D, args.t)
     if args.json:
-        json.dump({"D": args.D, "t": args.t, "coefficients": [str(a) for a in c.coefficients()]}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        obj = {"D": args.D, "t": args.t, "coefficients": [str(a) for a in c.coefficients()]}
+        sys.stdout.write(emit_json(obj))
     else:
         sys.stdout.write("%s\n" % c)
     return EXIT_OK
@@ -250,13 +238,14 @@ def _cmd_scan(args) -> int:
         else:
             print("skipping %s: not supersingular at %d" % (rec.label, p), file=sys.stderr)
     pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]
-
-    def work(pair):
-        a, b = pair
+    code = EXIT_OK
+    emitted = []
+    for a, b in pairs:
         try:
             verdict = check_congruence(a.curve, b.curve, p)
             if verdict.status is not CongruenceStatus.VERIFIED:
-                return ("skip", a, b, verdict, None)
+                print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
+                continue
             report = parity_relation(
                 a.curve,
                 b.curve,
@@ -270,31 +259,14 @@ def _cmd_scan(args) -> int:
                 known = a.rank if a.rank is not None else b.rank
                 deduced = deduce_rank(known, len(report.s1), len(report.s2))
                 report.deduced = replace(deduced, curve="e2" if b.rank is None else "e1")
-            return ("report", a, b, verdict, report)
         except (ComputationLimitError, ValueError) as exc:
-            return ("error", a, b, exc, None)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(pair) for pair in pairs]
-    code = EXIT_OK
-    emitted = []
-    for kind, a, b, info, report in results:
-        if kind == "skip":
-            print("%s / %s: congruence %s" % (a.label, b.label, info.status), file=sys.stderr)
-        elif kind == "error":
-            print("%s / %s: %s" % (a.label, b.label, info), file=sys.stderr)
-        else:
-            emitted.append(report)
-            if report.relation_holds is False:
-                code = EXIT_VIOLATED
+            print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)
+            continue
+        emitted.append(report)
+        if report.relation_holds is False:
+            code = EXIT_VIOLATED
     if args.json:
-        from .io import _clamp
-
-        json.dump([_clamp(report_object(r)) for r in emitted], sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(emit_json([report_object(r) for r in emitted]))
     else:
         for i, report in enumerate(emitted):
             if i:
@@ -345,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="all-pairs congruence scan over a curve file")
     sc.add_argument("--file", required=True)
     sc.add_argument("-p", type=int, required=True, dest="p")
-    sc.add_argument("--jobs", type=int, default=1)
     sc.add_argument("--json", action="store_true")
     sc.set_defaults(func=_cmd_scan)
     return parser
@@ -368,3 +339,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .weierstrass import CurveModel, discriminant
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    D: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.D < 1:
-            raise ValueError("D must be a positive integer, got %d" % self.D)
 
 
 def base_curve(D: int) -> CurveModel:
@@ -26,11 +14,11 @@ def base_curve(D: int) -> CurveModel:
 
 def member(D: int, t: int) -> CurveModel:
     """The twist-family specialization at t; member(D, 0) is the base curve."""
-    params = FamilyParams(D, t)
-    d, s = params.D, params.t
-    a4 = d * (27 * d * d * s**4 - 18 * d * s * s - 1)
-    a6 = 4 * d * d * s * (27 * d * d * s**4 + 1)
+    if D < 1:
+        raise ValueError("D must be a positive integer, got %d" % D)
+    a4 = D * (27 * D * D * t**4 - 18 * D * t * t - 1)
+    a6 = 4 * D * D * t * (27 * D * D * t**4 + 1)
     c = CurveModel(0, 0, 0, a4, a6)
     if discriminant(c) == 0:
-        raise ValueError("singular specialization at (D=%d, t=%d)" % (d, s))
+        raise ValueError("singular specialization at (D=%d, t=%d)" % (D, t))
     return c

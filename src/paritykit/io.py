@@ -5,9 +5,10 @@ File format, one record per line:
     label conductor [a1,a2,a3,a4,a6] rank
 
 with "?" for an unknown conductor or rank and "#" starting a comment.  Reports
-are JSON with a fixed key order; integers whose magnitude exceeds 2^53 are
-serialized as decimal strings so consumers that read numbers as doubles do not
-lose precision.
+are JSON with a fixed key order.  Every JSON document goes through
+``emit_json``, which serializes integers whose magnitude exceeds 2^53 as
+decimal strings so consumers that read numbers as doubles do not lose
+precision.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .congruence import CongruenceVerdict
 from .local import conductor
 from .parity import ParityReport
 from .weierstrass import CurveModel, discriminant, parse_curve
@@ -94,20 +96,21 @@ def _tau_block(records) -> dict:
     }
 
 
+def verdict_object(v: CongruenceVerdict) -> dict:
+    """A congruence verdict as a plain JSON-compatible object."""
+    return {
+        "status": str(v.status),
+        "level": v.level,
+        "bound": v.bound,
+        "checked_primes": v.checked_primes,
+        "witness": list(v.witness) if v.witness is not None else None,
+        "caveat": v.caveat,
+    }
+
+
 def report_object(r: ParityReport) -> dict:
     """The report as a plain JSON-compatible object tree."""
     c1, c2 = r.curves
-    congruence = None
-    if r.congruence is not None:
-        v = r.congruence
-        congruence = {
-            "status": str(v.status),
-            "level": v.level,
-            "bound": v.bound,
-            "checked_primes": v.checked_primes,
-            "witness": list(v.witness) if v.witness is not None else None,
-            "caveat": v.caveat,
-        }
     evidence = {}
     for ell in r.sigma_data.sigma:
         ev = r.sigma_data.evidence.get(ell)
@@ -138,7 +141,7 @@ def report_object(r: ParityReport) -> dict:
             {"label": r.labels[1], "coefficients": c2.coefficients(), "conductor": conductor(c2)},
         ],
         "p": r.p,
-        "congruence": congruence,
+        "congruence": None if r.congruence is None else verdict_object(r.congruence),
         "sigma": list(r.sigma_data.sigma),
         "sigma0": list(r.sigma_data.sigma0),
         "drop_evidence": evidence,
@@ -151,6 +154,11 @@ def report_object(r: ParityReport) -> dict:
     }
 
 
+def emit_json(obj) -> str:
+    """Deterministic JSON text of a plain object tree, big integers as strings."""
+    return json.dumps(_clamp(obj), indent=2) + "\n"
+
+
 def emit_report(r: ParityReport) -> str:
     """Deterministic JSON serialization of a ParityReport."""
-    return json.dumps(_clamp(report_object(r)), indent=2) + "\n"
+    return emit_json(report_object(r))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factor, is_prime, jacobi
+from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
 from .weierstrass import CurveModel, Isomorphism, invariants, minimal_model_at, transform
 
@@ -91,20 +91,18 @@ def max_counting_prime() -> int:
     return value
 
 
-def _require_prime(ell) -> None:
-    if not isinstance(ell, int) or not is_prime(ell):
-        raise ValueError("%r is not a prime" % (ell,))
+def _check_ceiling(ell: int) -> None:
+    ceiling = max_counting_prime()
+    if ell > ceiling:
+        raise ComputationLimitError(
+            "prime too large for naive counting: %d exceeds the ceiling %d" % (ell, ceiling)
+        )
 
 
 def count_points(c: CurveModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity; requires good reduction at ell."""
-    _require_prime(ell)
-    if ell > max_counting_prime():
-        raise ComputationLimitError(
-            "prime too large for naive counting: %d exceeds the ceiling %d"
-            % (ell, max_counting_prime())
-        )
-    m = minimal_model_at(c, ell)
+    m = minimal_model_at(c, ell)  # rejects an ell that is not prime
+    _check_ceiling(ell)
     if invariants(m).disc % ell == 0:
         raise ValueError("bad reduction at %d; use tate_local for local data" % ell)
     return _count_points_good(m, ell)
@@ -178,20 +176,9 @@ def _is_split_small(m: CurveModel, p: int) -> bool:
     return len(roots) == 2
 
 
-def _v(n: int, p: int) -> int:
-    # Valuation with a sentinel large enough to pass every >= test here.
-    if n == 0:
-        return 10**9
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _additive_type_large(m: CurveModel, ell: int, n: int) -> str:
     inv = invariants(m)
-    v4 = _v(inv.c4, ell)
+    v4 = _valuation(inv.c4, ell)
     if n == 2:
         return "II"
     if n == 3:
@@ -281,11 +268,11 @@ def _star_loop(c: CurveModel, p: int, n: int) -> tuple[str, int]:
 def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
     x0, y0 = _singular_point(m, p)
     c = transform(m, Isomorphism.of(1, x0, 0, y0))
-    if _v(c.a6, p) < 2:
+    if _valuation(c.a6, p) < 2:
         return "II", n
-    if _v(invariants(c).b8, p) < 3:
+    if _valuation(invariants(c).b8, p) < 3:
         return "III", n - 1
-    if _v(invariants(c).b6, p) < 3:
+    if _valuation(invariants(c).b6, p) < 3:
         return "IV", n - 2
     c = _normalize_depths(c, p)
     mults = _cubic_root_multiplicities(
@@ -303,9 +290,9 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
         return "IV*", n - 6
     (y1,) = set(_quad_roots(1, a3t, -a6t, p))
     c = transform(c, Isomorphism.of(1, 0, 0, p * p * y1))
-    if _v(c.a4, p) < 4:
+    if _valuation(c.a4, p) < 4:
         return "III*", n - 7
-    if _v(c.a6, p) < 6:
+    if _valuation(c.a6, p) < 6:
         return "II*", n - 8
     raise ArithmeticError("model not minimal at %d after reduction (internal error)" % p)
 
@@ -313,12 +300,12 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
 @lru_cache(maxsize=None)
 def tate_local(c: CurveModel, ell: int) -> LocalData:
     """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
-    _require_prime(ell)
-    m = minimal_model_at(c, ell)
+    m = minimal_model_at(c, ell)  # rejects an ell that is not prime
     inv = invariants(m)
-    n = _v(inv.disc, ell)
+    n = _valuation(inv.disc, ell)
     if n == 0:
-        trace = ell + 1 - count_points(m, ell)
+        _check_ceiling(ell)
+        trace = ell + 1 - _count_points_good(m, ell)
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:
         if ell >= 5:
@@ -361,10 +348,10 @@ def is_supersingular(c: CurveModel, p: int) -> bool:
     """True when a_p(E) = 0 exactly (the strict form, applied at every odd p)."""
     if p == 2 or not isinstance(p, int) or not is_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    m = minimal_model_at(c, p)
-    if invariants(m).disc % p == 0:
+    d = tate_local(c, p)
+    if d.red_type is not ReductionType.GOOD:
         raise ValueError("p must be a good prime")
-    return p + 1 - count_points(m, p) == 0
+    return d.trace == 0
 
 
 def euler_poly(d: LocalData) -> EulerPoly:

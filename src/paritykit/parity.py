@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import CongruenceStatus, CongruenceVerdict
-from .local import LocalData, ReductionType, conductor, euler_poly, is_supersingular, tate_local
+from .local import (
+    LocalData,
+    ReductionType,
+    bad_reduction_data,
+    euler_poly,
+    is_supersingular,
+    tate_local,
+)
 from .weierstrass import CurveModel
 
 
@@ -90,18 +97,7 @@ def _gate(c1: CurveModel, c2: CurveModel, p: int) -> None:
 def compute_sigma0(c1: CurveModel, c2: CurveModel, p: int) -> SigmaData:
     """sigma = {p} + bad primes of either curve; sigma0 = conductor-drop primes."""
     _gate(c1, c2, p)
-    support = set()
-    for c in (c1, c2):
-        n = conductor(c)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                support.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            support.add(n)
+    support = {d.ell for c in (c1, c2) for d in bad_reduction_data(c)}
     sigma = tuple(sorted(support | {p}))
     evidence: dict[int, DropEvidence] = {}
     sigma0 = []

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import factor, valuation
+from .arith import _valuation, factor, is_prime
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _kraus_ok_at_2(c4: int, c6: int) -> bool:
 
 
 def _kraus_ok_at_3(c6: int) -> bool:
-    return c6 == 0 or valuation(c6, 3) != 2
+    return _valuation(c6, 3) != 2
 
 
 def _model_from_c_invariants(c4: int, c6: int) -> CurveModel:
@@ -146,15 +146,10 @@ def _model_from_c_invariants(c4: int, c6: int) -> CurveModel:
     return CurveModel(a1, a2, a3, a4, a6)
 
 
-def _vq(n: int, q: int) -> int:
-    # Sentinel valuation for 0, large enough to never be the minimum here.
-    return 10**9 if n == 0 else valuation(n, q)
-
-
 def _scale_exponent_at(c4: int, c6: int, disc: int, q: int) -> int:
     # Largest e with q^(4e) | c4, q^(6e) | c6, q^(12e) | disc such that the
     # scaled-down invariants are still realizable (Kraus conditions at 2, 3).
-    e = min(_vq(c4, q) // 4, _vq(c6, q) // 6, _vq(disc, q) // 12)
+    e = min(_valuation(c4, q) // 4, _valuation(c6, q) // 6, _valuation(disc, q) // 12)
     while e > 0:
         u4, u6 = q ** (4 * e), q ** (6 * e)
         ok = True
@@ -201,7 +196,12 @@ def minimal_model(c: CurveModel) -> tuple[CurveModel, Isomorphism]:
 
 
 def minimal_model_at(c: CurveModel, ell: int) -> CurveModel:
-    """A model of c minimal at the single prime ell (other primes untouched)."""
+    """A model of c minimal at the single prime ell (other primes untouched).
+
+    Raises ValueError when ell is not a prime.
+    """
+    if not isinstance(ell, int) or not is_prime(ell):
+        raise ValueError("%r is not a prime" % (ell,))
     inv = invariants(c)
     if inv.disc == 0:
         raise ValueError("singular model: discriminant is zero")

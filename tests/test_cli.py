@@ -180,14 +180,6 @@ def test_scan(capsys):
     assert reports[0]["relation"]["holds"] is True
 
 
-def test_scan_parallel_matches_serial(capsys):
-    assert run(["scan", "--file", str(DATA / "congruent_pair.curves"), "-p", "5", "--json"]) == 0
-    serial = capsys.readouterr().out
-    assert run(["scan", "--file", str(DATA / "congruent_pair.curves"), "-p", "5", "--jobs", "4", "--json"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
 def test_scan_skips_ineligible(capsys):
     extra = DATA / "mixed.curves"
     extra.write_text(
@@ -240,6 +232,14 @@ def _declared_scripts():
     return tomllib.loads(text)["project"]["scripts"]
 
 
+def _child_env():
+    """Environment that imports paritykit from the same directory as this process."""
+    src = str(pathlib.Path(paritykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_installed_entry_point():
     """Run the declared console-script target in a child process.
 
@@ -250,9 +250,6 @@ def test_installed_entry_point():
     target = _declared_scripts().get("paritykit")
     assert target == "paritykit.cli:main"
     module, attr = target.split(":")
-    src = str(pathlib.Path(paritykit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -262,7 +259,38 @@ def test_installed_entry_point():
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0,0,0,16846,419952]"
+
+
+def test_module_entry_point():
+    """``python -m paritykit.cli`` runs main like the console script does."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "paritykit.cli", "family", "--D", "1", "--t", "3"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0,0,0,2024,26256]"
+
+
+GOLDEN = DATA / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["stdout"] for c in GOLDEN_CASES])
+def test_output_matches_golden(case, capsys, monkeypatch):
+    """Stdout and exit code of fixed commands, byte for byte.
+
+    cases.json gives each command's argv (paths relative to the repository
+    root), its exit code and the file holding its stdout.  The files are
+    regenerated only when an output change is intended.
+    """
+    monkeypatch.chdir(DATA.parents[1])
+    code = run(case["argv"])
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
+    assert code == case["exit"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from paritykit.family import FamilyParams, base_curve, member
+from paritykit.family import base_curve, member
 from paritykit.local import is_supersingular
 from paritykit.weierstrass import CurveModel, discriminant
 
@@ -54,5 +54,3 @@ def test_rejects_nonpositive_D():
             base_curve(D)
         with pytest.raises(ValueError, match="positive"):
             member(D, 1)
-        with pytest.raises(ValueError):
-            FamilyParams(D, 1)

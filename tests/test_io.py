@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from paritykit.cli import run
 from paritykit.congruence import check_congruence
 from paritykit.io import (
     CurveRecord,
@@ -137,6 +138,20 @@ def test_emit_report_big_integers_as_strings():
     # smaller integers stay numeric, booleans stay booleans
     assert obj["congruence"]["bound"] == 6720
     assert obj["relation"]["holds"] is True
+
+
+def test_cli_json_big_integers_as_strings(capsys):
+    # level, bound and conductor exceed 2^53 for y^2 = x^3 - 100000007x
+    big = "[0,0,0,-100000007,0]"
+    assert run(["congruent", "--e1", big, "--e2", "[0,0,0,-1,0]", "-p", "3", "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["level"] == "5760000806400028224"
+    assert obj["bound"] == "1920000288000010752"
+    assert obj["checked_primes"] == 1 and obj["witness"] == [5, -4, -2]
+    assert run(["local-info", "--curve", big, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["conductor"] == "640000089600003136"
+    assert [row["ell"] for row in obj["local"]] == [2, 100000007]
 
 
 def test_emit_report_valid_json_and_parseable():

@@ -108,8 +108,14 @@ def test_counting_ceiling(monkeypatch):
     assert max_counting_prime() == 10**8
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
     assert max_counting_prime() == 100
-    with pytest.raises(ComputationLimitError, match="too large"):
-        count_points(E11, 101)
+    message = "prime too large for naive counting: 101 exceeds the ceiling 100"
+    tate_local.cache_clear()
+    try:
+        for probe in (count_points, tate_local, is_supersingular):
+            with pytest.raises(ComputationLimitError, match=message):
+                probe(E11, 101)
+    finally:
+        tate_local.cache_clear()
     assert count_points(E11, 97) > 0
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "4")
     with pytest.raises(ValueError):

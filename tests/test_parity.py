@@ -116,6 +116,15 @@ def test_sigma_pair_mod_3():
         assert data.evidence[ell].in_sigma0
 
 
+def test_sigma0_support_is_the_bad_primes():
+    # conductor 2^6 * 1000000007^2: the support comes from the factored
+    # discriminant, so no search up to the square root of the conductor
+    c = CurveModel(0, 0, 0, -1000000007, 0)
+    data = compute_sigma0(c, c, 3)
+    assert data.sigma == (2, 3, 1000000007)
+    assert data.sigma0 == ()
+
+
 def test_sigma0_requires_supersingularity():
     with pytest.raises(ValueError, match="not supersingular"):
         compute_sigma0(CurveModel(0, -1, 1, -10, -20), E897, 5)

@@ -184,3 +184,5 @@ def test_minimal_model_at_single_prime():
     assert inv.disc == discriminant(c) * 3**12
     assert minimal_model_at(at2, 3) == minimal_model(big)[0]
     assert minimal_model_at(c, 2) == c
+    with pytest.raises(ValueError, match="not a prime"):
+        minimal_model_at(c, 4)
