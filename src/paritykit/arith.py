@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -20,7 +21,9 @@ _IS_PRIME_BOUND = 2**64
 _TRIAL_LIMIT = 10**6
 _DEFAULT_FACTOR_BUDGET = 10.0
 
-_small_prime_cache: list[int] = []
+# Every prime up to _prime_reach, ascending; grown on demand by _primes_up_to.
+_primes: list[int] = []
+_prime_reach = 1
 _factor_cache: dict[int, Factorization] = {}
 
 
@@ -33,13 +36,22 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
-def _small_primes() -> list[int]:
-    if not _small_prime_cache:
-        _small_prime_cache.extend(sieve_primes(_TRIAL_LIMIT))
-    return _small_prime_cache
+def _primes_up_to(limit: int) -> list[int]:
+    """The cached prime list, grown to cover min(limit, _TRIAL_LIMIT).
+
+    The list may reach further than limit; callers cut it with bisect.
+    """
+    global _prime_reach
+    if _prime_reach < min(limit, _TRIAL_LIMIT):
+        # Re-sieve to at least four times the old reach, so that a list grown
+        # step by step costs little more than one sieve to its final length.
+        reach = min(_TRIAL_LIMIT, max(limit, 4 * _prime_reach, 1024))
+        _primes.extend(sieve_primes(reach)[len(_primes) :])
+        _prime_reach = reach
+    return _primes
 
 
 def jacobi(a: int, n: int) -> int:
@@ -142,6 +154,28 @@ def _pollard_rho(n: int, deadline: float | None) -> int:
         c += 1  # rare cycle degeneracy: retry with a new polynomial
 
 
+def _iroot(m: int, k: int) -> int:
+    # floor(m ** (1/k)) for m >= 1, by Newton's method from above.
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with r**k == m and k largest, for m with no prime factor <= _TRIAL_LIMIT."""
+    # Each prime factor exceeds 2**19, so k * 19 < m.bit_length().
+    for k in range(m.bit_length() // 19, 1, -1):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Prime factorization of |n| as (prime, exponent) pairs, primes ascending."""
     if n == 0:
@@ -152,23 +186,38 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
     key = n
     deadline = None if time_budget is None else time.monotonic() + time_budget
     out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        if n % p == 0:
-            out[p] = _valuation(n, p)
-            n //= p ** out[p]
+    tried = 0
+    while True:
+        for p in itertools.islice(_primes, tried, None):
+            if p * p > n:
+                break
+            if n % p == 0:
+                out[p] = _valuation(n, p)
+                n //= p ** out[p]
+        else:
+            # Every cached prime was tried: grow the list while a prime past
+            # its reach can still be at most sqrt(n).
+            if _prime_reach < _TRIAL_LIMIT and (_prime_reach + 1) ** 2 <= n:
+                tried = len(_primes)
+                _primes_up_to(_prime_reach + 1)
+                continue
+        break
     if n > 1:
-        stack = [n]
+        stack = [(n, 1)]  # (cofactor, multiplicity)
         while stack:
-            m = stack.pop()
+            m, e = stack.pop()
             if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime_unchecked(m):
                 # below the trial square every survivor is prime
-                out[m] = out.get(m, 0) + 1
+                out[m] = out.get(m, 0) + e
+                continue
+            root, k = _perfect_power(m)
+            if k > 1:
+                # rho would need about sqrt(q) steps to split q**k
+                stack.append((root, e * k))
                 continue
             d = _pollard_rho(m, deadline)
-            stack.append(d)
-            stack.append(m // d)
+            stack.append((d, e))
+            stack.append((m // d, e))
     result = sorted(out.items())
     _factor_cache[key] = result
     return list(result)

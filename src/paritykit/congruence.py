@@ -10,13 +10,14 @@ the semisimplified representations; irreducibility is not checked here.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
+from math import prod
 
-from .arith import factor, is_prime, sieve_primes
+from .arith import _primes_up_to, factor, is_prime
 from .errors import ComputationLimitError
-from .local import ReductionType, conductor, tate_local
-from .weierstrass import CurveModel, discriminant
+from .local import ReductionType, bad_reduction_data, tate_local
+from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
 # work, so bounds past a few tens of thousands stop being interactive.
@@ -46,25 +47,30 @@ def sturm_bound(level: int) -> int:
     """ceil(index / 6) where index = level * prod(1 + 1/ell) over ell | level."""
     if level < 1:
         raise ValueError("level must be a positive integer")
+    return _sturm(dict(factor(level)))
+
+
+def _sturm(level: dict[int, int]) -> int:
+    # Sturm bound of a level given as {prime: exponent}, exponents >= 1.
     index = 1
-    for ell, e in factor(level):
+    for ell, e in level.items():
         index *= ell ** (e - 1) * (ell + 1)
     return -(-index // 6)
 
 
-def _reduced_conductor(c: CurveModel, p: int) -> int:
-    # Drop multiplicative primes where the mod-p representation is unramified
-    # (p divides the valuation of the minimal discriminant, the Tate-curve
-    # criterion); keep everything else.
-    n = 1
-    for q, _ in factor(discriminant(c)):
-        d = tate_local(c, q)
-        if d.red_type is ReductionType.GOOD:
+def _sturm_level(c1: CurveModel, c2: CurveModel, p: int, reduced: bool) -> tuple[int, int]:
+    """(level, Sturm bound) for lcm(N1, N2, p^2), read off the bad-prime data.
+
+    The reduced level drops multiplicative primes where the mod-p
+    representation is unramified (p divides the valuation of the minimal
+    discriminant, the Tate-curve criterion) and keeps everything else.
+    """
+    level = {p: 2}
+    for d in bad_reduction_data(c1) + bad_reduction_data(c2):
+        if reduced and d.red_type.is_multiplicative and d.ell != p and d.v_disc % p == 0:
             continue
-        if d.red_type.is_multiplicative and q != p and d.v_disc % p == 0:
-            continue
-        n *= q**d.cond_exp
-    return n
+        level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
+    return prod(ell**e for ell, e in level.items()), _sturm(level)
 
 
 def _compared_pair(d1, d2, p: int) -> tuple[int, int] | None:
@@ -97,18 +103,15 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     """
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    n1, n2 = conductor(c1), conductor(c2)
     notes = [
         "Verified certifies congruence of semisimplified mod-%d representations "
         "up to the stated bound; primes bad for both curves and ell = %d are skipped."
         % (p, p)
     ]
-    level = lcm(n1, n2, p * p)
-    bound = sturm_bound(level)
+    level, bound = _sturm_level(c1, c2, p, reduced=False)
     complete = True
     if bound > _BOUND_CAP:
-        level = lcm(_reduced_conductor(c1, p), _reduced_conductor(c2, p), p * p)
-        bound = sturm_bound(level)
+        level, bound = _sturm_level(c1, c2, p, reduced=True)
         notes.append(
             "Bound taken at the reduced level %d (multiplicative primes with "
             "p | v_ell(min disc) discarded) because the full level gives an "
@@ -130,7 +133,9 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
         )
     checked = 0
     structural = None
-    for ell in sieve_primes(bound if complete else _BOUND_CAP):
+    limit = bound if complete else _BOUND_CAP
+    primes = _primes_up_to(limit)
+    for ell in primes[: bisect_right(primes, limit)]:
         if ell == p:
             continue
         try:

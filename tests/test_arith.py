@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from paritykit import arith
 from paritykit.arith import factor, is_prime, jacobi, sieve_primes, valuation
 from paritykit.errors import ComputationLimitError
 
@@ -21,8 +22,9 @@ def trial_division_prime(n):
 
 
 def test_sieve_matches_trial_division():
-    primes = sieve_primes(2000)
-    assert primes == [n for n in range(2001) if trial_division_prime(n)]
+    primes = [n for n in range(3001) if trial_division_prime(n)]
+    for limit in range(3001):
+        assert sieve_primes(limit) == [q for q in primes if q <= limit], limit
 
 
 def test_sieve_edge_cases():
@@ -119,6 +121,64 @@ def test_factor_budget_exhaustion():
     q = 2**107 - 1
     with pytest.raises(ComputationLimitError):
         factor(p * q, time_budget=0.001)
+
+
+def reset_prime_list(monkeypatch):
+    # The state of a process that has not factored anything yet.
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_prime_reach", 1)
+    monkeypatch.setattr(arith, "_factor_cache", {})
+
+
+@pytest.fixture
+def empty_prime_list(monkeypatch):
+    reset_prime_list(monkeypatch)
+
+
+def test_factor_prime_powers_skip_rho(empty_prime_list):
+    # rho needs about sqrt(q) = 10^6 steps to split q**k; a root test does not
+    q = 1000000000039
+    assert is_prime(q)
+    assert factor(64 * q**3, time_budget=0.5) == [(2, 6), (q, 3)]
+    assert factor(q**2, time_budget=0.5) == [(q, 2)]
+    assert factor(q**5 * 1000003**2, time_budget=0.5) == [(1000003, 2), (q, 5)]
+    # a power of a composite beyond the trial bound
+    assert factor((1000003 * q) ** 2, time_budget=0.5) == [(1000003, 2), (q, 2)]
+
+
+BOUNDARY_VALUES = (
+    999983**2 * 1000003,
+    1000003 * 1000033,
+    999979 * 999983,  # second-largest factor just below 10^6, cofactor prime
+    2 * 999983 * 1000000007,
+    97 * 999961 * 999979 * 999983,
+)
+
+
+def test_factor_small_call_sieves_little(empty_prime_list):
+    assert factor(69) == [(3, 1), (23, 1)]
+    assert arith._prime_reach < 10**4
+    assert factor(1) == []
+
+
+@pytest.mark.parametrize("n", BOUNDARY_VALUES)
+def test_factor_independent_of_prime_list_state(n, monkeypatch, empty_prime_list):
+    cold = factor(n)
+    prod = 1
+    for p, e in cold:
+        assert is_prime(p)
+        prod *= p**e
+    assert prod == n
+    assert cold == sorted(cold)
+    # same result once a small call has grown the list part of the way
+    reset_prime_list(monkeypatch)
+    factor(2 * 3 * 1009 * 1013)
+    assert 1 < arith._prime_reach < arith._TRIAL_LIMIT
+    assert factor(n) == cold
+    # and once the list is complete
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    assert factor(n) == cold
+    assert arith._primes == sieve_primes(arith._prime_reach)
 
 
 def test_valuation():

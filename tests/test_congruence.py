@@ -1,17 +1,22 @@
 """Congruence verification and Sturm bounds."""
 
 import random
+from math import lcm
 
 import pytest
 
+import paritykit.congruence
+from paritykit import arith
+from paritykit.arith import factor
+from paritykit.cli import run
 from paritykit.congruence import (
     CongruenceStatus,
     check_congruence,
     sturm_bound,
 )
-from paritykit.family import member
-from paritykit.local import count_points, tate_local
-from paritykit.weierstrass import CurveModel
+from paritykit.family import base_curve, member
+from paritykit.local import ReductionType, conductor, count_points, tate_local
+from paritykit.weierstrass import CurveModel, discriminant
 
 E32 = CurveModel(0, 0, 0, -1, 0)
 E69 = CurveModel(1, 0, 1, -1, -1)
@@ -153,3 +158,71 @@ def test_family_members_congruent_to_base_mod_3():
         assert v.status is CongruenceStatus.VERIFIED, t
         assert v.level == 288
         assert v.bound == 96
+
+
+def reduced_conductor(c, p):
+    # Reference for the reduced level, computed from the factored
+    # discriminant: drop multiplicative ell != p with p | v_ell(min disc).
+    n = 1
+    for q, _ in factor(discriminant(c)):
+        d = tate_local(c, q)
+        if d.red_type is ReductionType.GOOD:
+            continue
+        if d.red_type.is_multiplicative and q != p and d.v_disc % p == 0:
+            continue
+        n *= q**d.cond_exp
+    return n
+
+
+def random_curve(rng):
+    while True:
+        c = CurveModel(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                       rng.randint(-300, 300), rng.randint(-300, 300))
+        if discriminant(c) != 0:
+            return c
+
+
+def level_cases():
+    yield E69, E897, 5
+    yield E32, member(1, 207), 3
+    for D in (1, 2, 5, 7, 35):
+        yield base_curve(D), member(D, 3), 3
+    yield base_curve(2), member(2, -6), 3
+    rng = random.Random(2016)
+    for p in (3, 5):
+        for _ in range(25):
+            yield random_curve(rng), random_curve(rng), p
+
+
+def test_level_matches_lcm_of_conductors():
+    reduced_seen = 0
+    for c1, c2, p in level_cases():
+        v = check_congruence(c1, c2, p)
+        level = lcm(conductor(c1), conductor(c2), p * p)
+        if sturm_bound(level) > paritykit.congruence._BOUND_CAP:
+            level = lcm(reduced_conductor(c1, p), reduced_conductor(c2, p), p * p)
+            reduced_seen += 1
+            assert "reduced level %d" % level in v.caveat
+        assert (v.level, v.bound) == (level, sturm_bound(level)), (c1, c2, p)
+    assert reduced_seen >= 3
+
+
+def test_level_needs_no_factoring_of_the_lcm(monkeypatch):
+    def refuse(n, *args, **kwargs):
+        raise AssertionError("factor(%d) called" % n)
+
+    monkeypatch.setattr(paritykit.congruence, "factor", refuse)
+    v = check_congruence(E69, E897, 5)
+    assert v.status is CongruenceStatus.VERIFIED
+    assert (v.level, v.bound) == (22425, 6720)
+
+
+def test_readme_analyze_grows_prime_list_little(monkeypatch, capsys):
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_prime_reach", 1)
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    argv = ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
+            "-p", "5", "--rank1", "0", "--rank2", "1"]
+    assert run(argv) == 0
+    assert "level 22425, Sturm bound 6720" in capsys.readouterr().out
+    assert 6720 <= arith._prime_reach <= 10**5
