@@ -2,13 +2,17 @@
 
 Reduction types and conductor exponents come from Tate's algorithm run on a
 model minimal at the prime in question.  Traces at good primes are computed by
-point counting: exhaustive enumeration at 2 and 3, a quadratic-character sum
-over the short Weierstrass form for larger primes.
+exact point counting on the short Weierstrass form: exhaustive enumeration at
+2 and 3, a vectorised quadratic-character sum in O(ell) below _BSGS_MIN_ELL,
+and from there up Shanks-Mestre baby-step giant-step over the curve and its
+quadratic twist in O(ell^(1/4)) group operations (Cohen, "A Course in
+Computational Algebraic Number Theory", 7.4.3).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +24,10 @@ from .errors import ComputationLimitError
 from .weierstrass import CurveModel, Isomorphism, invariants, minimal_model_at, transform
 
 _DEFAULT_MAX_ELL = 10**8
-_CHUNK = 1 << 22
+# Primes from here up are counted by Shanks-Mestre, below it by the character
+# sum; the two cost the same, about 0.1 ms, near 5000 (timings in CHANGES.md).
+# Mestre's theorem bounds the walk only for ell > 229, so this must stay above.
+_BSGS_MIN_ELL = 5000
 
 
 class ReductionType(enum.Enum):
@@ -95,7 +102,8 @@ def _check_ceiling(ell: int) -> None:
     ceiling = max_counting_prime()
     if ell > ceiling:
         raise ComputationLimitError(
-            "prime too large for naive counting: %d exceeds the ceiling %d" % (ell, ceiling)
+            "prime too large for point counting: %d exceeds the ceiling %d; "
+            "raise PARITYKIT_MAX_ELL" % (ell, ceiling)
         )
 
 
@@ -128,20 +136,96 @@ def _count_points_good(m: CurveModel, ell: int) -> int:
 def _count_short_form(m: CurveModel, ell: int) -> int:
     # y^2 = x^3 + Ax + B with A = -27*c4, B = -54*c6 (valid away from 2 and 3).
     inv = invariants(m)
-    a = (-27 * (inv.c4 % ell)) % ell
-    b = (-54 * (inv.c6 % ell)) % ell
+    a = (-27 * inv.c4) % ell
+    b = (-54 * inv.c6) % ell
+    if ell < _BSGS_MIN_ELL:
+        return _character_sum(a, b, ell)
+    return _shanks_mestre(a, b, ell)
+
+
+def _character_sum(a: int, b: int, ell: int) -> int:
+    # Called only below _BSGS_MIN_ELL, so each array holds a few thousand entries.
+    x = np.arange(ell, dtype=np.int64)
+    x2 = x * x % ell
     squares = np.zeros(ell, dtype=bool)
-    half = ell // 2
-    for start in range(0, half + 1, _CHUNK):
-        r = np.arange(start, min(start + _CHUNK, half + 1), dtype=np.int64)
-        squares[(r * r) % ell] = True
-    n = 1
-    for start in range(0, ell, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, ell), dtype=np.int64)
-        f = ((x * x % ell) * x + a * x + b) % ell
-        zero = f == 0
-        n += 2 * int(np.count_nonzero(squares[f] & ~zero)) + int(np.count_nonzero(zero))
-    return n
+    squares[x2[: ell // 2 + 1]] = True
+    f = (x2 * x + a * x + b) % ell
+    zero = f == 0
+    return 1 + 2 * int(np.count_nonzero(squares[f] & ~zero)) + int(np.count_nonzero(zero))
+
+
+def _shanks_mestre(a: int, b: int, ell: int) -> int:
+    # For c = f(x0) != 0 the point (c*x0, c^2) lies on y^2 = x^3 + a*c^2*x + b*c^3,
+    # which is E when c is a square mod ell and its quadratic twist otherwise.
+    # A twist order m means #E = 2*ell + 2 - m.  Each point leaves the orders in
+    # the Hasse interval that kill it; intersect until one is left.  For
+    # ell > 229 Mestre's theorem guarantees one is left before x0 runs out.
+    r = math.isqrt(4 * ell)  # floor(2*sqrt(ell)), the Hasse half-width
+    lo, hi = ell + 1 - r, ell + 1 + r
+    left = None
+    for x0 in range(ell):
+        c = ((x0 * x0 + a) * x0 + b) % ell
+        if c == 0:
+            continue
+        c2 = c * c % ell
+        orders = _killing_orders((c * x0 % ell, c2), c2 * a % ell, ell, lo, hi)
+        if jacobi(c, ell) != 1:
+            orders = {2 * ell + 2 - n for n in orders}
+        left = orders if left is None else left & orders
+        if len(left) <= 1:
+            break
+    if left is None or len(left) != 1:
+        raise ArithmeticError("no unique group order at %d (internal error)" % ell)
+    return left.pop()
+
+
+def _killing_orders(pt: tuple[int, int], a: int, ell: int, lo: int, hi: int) -> set[int]:
+    # Every n in [lo, hi] with n*pt = O: baby steps j*pt for 0 <= j < s, giant
+    # steps (lo + i*s)*pt.  A point of small order matches many times.
+    s = math.isqrt(hi - lo) + 1
+    babies: dict = {}
+    q = None
+    for j in range(s):
+        babies.setdefault(q, []).append(j)
+        q = _add(q, pt, a, ell)
+    step, q = q, _mul(lo, pt, a, ell)
+    found = set()
+    for base in range(lo, hi + 1, s):
+        minus_q = None if q is None else (q[0], -q[1] % ell)
+        for j in babies.get(minus_q, ()):
+            if base + j <= hi:
+                found.add(base + j)
+        q = _add(q, step, a, ell)
+    return found
+
+
+def _add(p, q, a: int, ell: int):
+    # Affine group law on y^2 = x^3 + a*x + b over F_ell; None is O.
+    if p is None:
+        return q
+    if q is None:
+        return p
+    x1, y1 = p
+    x2, y2 = q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _mul(k: int, p, a: int, ell: int):
+    out = None
+    while k:
+        if k & 1:
+            out = _add(out, p, a, ell)
+        k >>= 1
+        if k:
+            p = _add(p, p, a, ell)
+    return out
 
 
 def _singular_point(m: CurveModel, p: int) -> tuple[int, int]:

@@ -1,9 +1,18 @@
 """Local data: point counts, Tate's algorithm, conductors, supersingularity."""
 
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
+import paritykit
+from paritykit import local
 from paritykit.errors import ComputationLimitError
 from paritykit.local import (
     LocalData,
@@ -97,6 +106,252 @@ def test_count_points_hasse_bound_random():
         assert a * a <= 4 * ell
 
 
+def character_sum_count(A, B, ell):
+    """#E(F_ell) of y^2 = x^3 + A*x + B as sum over v of #{x: f(x) = v} * #{y: y^2 = v}.
+
+    Written apart from the counter (numpy histograms, no Legendre symbol) and
+    used as its oracle on both sides of the Shanks-Mestre crossover, up to
+    about 2*10^6, where int64 products stay exact.
+    """
+    t = np.arange(ell, dtype=np.int64)
+    roots = np.bincount(t * t % ell, minlength=ell)
+    values = np.bincount(((t * t % ell) * t + A % ell * t + B % ell) % ell, minlength=ell)
+    return 1 + int(np.dot(roots, values))
+
+
+def primes_from(start, count):
+    out, n = [], start
+    while len(out) < count:
+        if is_prime_naive(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def check_against_oracle(A, B, ell):
+    c = CurveModel(0, 0, 0, A, B)
+    if (4 * A**3 + 27 * B**2) % ell == 0:
+        return False
+    assert count_points(c, ell) == character_sum_count(A, B, ell), (A, B, ell)
+    return True
+
+
+def test_bsgs_crossover_respects_mestre_bound():
+    # Mestre's theorem makes the twist walk end with one group order only
+    # for ell > 229.
+    assert local._BSGS_MIN_ELL > 229
+
+
+def test_count_points_oracle_random_large_primes():
+    rng = random.Random(211)
+    checked = 0
+    lo, hi = local._BSGS_MIN_ELL, 2 * 10**6
+    for _ in range(24):
+        # log-uniform between the crossover and hi
+        (ell,) = primes_from(int(lo * (hi / lo) ** rng.random()), 1)
+        A, B = rng.randrange(-(10**6), 10**6), rng.randrange(-(10**6), 10**6)
+        checked += check_against_oracle(A, B, ell)
+    assert checked >= 20
+
+
+def test_count_points_oracle_crossover_boundary():
+    lo = local._BSGS_MIN_ELL
+    below = max(p for p in range(lo - 200, lo) if is_prime_naive(p))
+    (at,) = primes_from(lo, 1)
+    rng = random.Random(223)
+    for ell in (below, at):
+        for _ in range(20):
+            check_against_oracle(rng.randrange(ell), rng.randrange(ell), ell)
+
+
+def power_classes(ell, k):
+    """Representatives g^0, ..., g^(k-1) of the classes of F_ell^* mod k-th powers (k | 12)."""
+    orders = [q for q in (2, 3) if (ell - 1) % q == 0]
+    g = next(g for g in range(2, ell) if all(pow(g, (ell - 1) // q, ell) != 1 for q in orders))
+    return [pow(g, i, ell) for i in range(k)]
+
+
+def test_count_points_oracle_j0_j1728():
+    # y^2 = x^3 + B and y^2 = x^3 + A*x over every sextic and quartic residue
+    # class: these include groups with full 2- or 3-torsion (non-cyclic) and
+    # points of small order.
+    for ell in primes_from(local._BSGS_MIN_ELL, 2) + primes_from(30011, 2) + [1000033]:
+        for B in power_classes(ell, 6):
+            assert check_against_oracle(0, B, ell)
+        for A in power_classes(ell, 4):
+            assert check_against_oracle(A, 0, ell)
+    # x^3 - x has three roots, so E(F_ell) contains Z/2 x Z/2
+    for ell in primes_from(100000, 4):
+        assert check_against_oracle(-1, 0, ell)
+
+
+def test_count_points_oracle_hasse_endpoints():
+    # At ell = (u^2 + 3)/4 one sextic twist of j = 0, and at ell = u^2 + 1 one
+    # quartic twist of j = 1728, has |a_ell| = floor(2*sqrt(ell)): its group
+    # order is an endpoint of the Hasse interval.
+    lo = local._BSGS_MIN_ELL
+    j0_primes = ((u * u + 3) // 4 for u in range(math.isqrt(4 * lo) | 1, 10**4, 2))
+    j1728_primes = (u * u + 1 for u in range(math.isqrt(lo), 10**4))
+    ell0 = next(p for p in j0_primes if p >= lo and is_prime_naive(p))
+    ell1 = next(p for p in j1728_primes if p >= lo and is_prime_naive(p))
+    for ell, shapes in (
+        (ell0, [(0, B) for B in power_classes(ell0, 6)]),
+        (ell1, [(A, 0) for A in power_classes(ell1, 4)]),
+    ):
+        traces = []
+        for A, B in shapes:
+            assert check_against_oracle(A, B, ell)
+            traces.append(ell + 1 - count_points(CurveModel(0, 0, 0, A, B), ell))
+        assert max(abs(a) for a in traces) == math.isqrt(4 * ell), (ell, traces)
+
+
+def test_count_points_oracle_trace_zero():
+    # supersingular CM curves: a_ell = 0 for j = 1728 at ell = 3 mod 4 and
+    # for j = 0 at ell = 2 mod 3
+    for ell in primes_from(local._BSGS_MIN_ELL, 12) + primes_from(1500000, 12):
+        if ell % 4 == 3:
+            assert check_against_oracle(-7, 0, ell)
+            assert count_points(CurveModel(0, 0, 0, -7, 0), ell) == ell + 1
+        if ell % 3 == 2:
+            assert check_against_oracle(0, 5, ell)
+            assert count_points(CurveModel(0, 0, 0, 0, 5), ell) == ell + 1
+
+
+def test_count_points_oracle_first_point_on_twist():
+    # The short model of [0,0,0,A,B] is y^2 = x^3 + 6^4*A*x + 6^6*B, so the
+    # first point the counter tries (x = 0) lies on the twist exactly when B
+    # is a nonsquare mod ell.
+    rng = random.Random(227)
+    checked = 0
+    for ell in primes_from(local._BSGS_MIN_ELL, 5) + primes_from(400000, 5):
+        while True:
+            A, B = rng.randrange(1, ell), rng.randrange(1, ell)
+            if pow(B, (ell - 1) // 2, ell) == ell - 1:
+                break
+        checked += check_against_oracle(A, B, ell)
+    assert checked >= 8
+
+
+def _proj_add(P, Q, a, q):
+    """Homogeneous projective sum on y^2 = x^3 + a*x + b; O is (0 : 1 : 0)."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    if Z1 % q == 0:
+        return Q
+    if Z2 % q == 0:
+        return P
+    u = (Y2 * Z1 - Y1 * Z2) % q
+    v = (X2 * Z1 - X1 * Z2) % q
+    if v == 0:
+        if u != 0 or Y1 % q == 0:
+            return (0, 1, 0)
+        w = (a * Z1 * Z1 + 3 * X1 * X1) % q
+        s = Y1 * Z1 % q
+        h4 = X1 * Y1 * s % q
+        h = (w * w - 8 * h4) % q
+        return (2 * h * s % q, (w * (4 * h4 - h) - 8 * Y1 * Y1 * s * s) % q, 8 * s**3 % q)
+    w = (u * u * Z1 * Z2 - v**3 - 2 * v * v * X1 * Z2) % q
+    return (v * w % q, (u * (v * v * X1 * Z2 - w) - v**3 * Y1 * Z2) % q, v**3 * Z1 * Z2 % q)
+
+
+def _proj_mul(k, P, a, q):
+    out = (0, 1, 0)
+    for bit in bin(k)[2:]:
+        out = _proj_add(out, out, a, q)
+        if bit == "1":
+            out = _proj_add(out, P, a, q)
+    return out
+
+
+def _sqrt_mod(n, q):
+    """Tonelli-Shanks square root of a nonzero square n mod the odd prime q."""
+    s, d = 0, q - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    m, c, t, r = s, pow(z, d, q), pow(n, d, q), pow(n, (d + 1) // 2, q)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % q, i + 1
+        b = pow(c, 1 << (m - i - 1), q)
+        m, c, t, r = i, b * b % q, t * b * b % q, r * b % q
+    return r
+
+
+def _points(a, b, q, rng, count):
+    out = []
+    while len(out) < count:
+        x = rng.randrange(q)
+        f = (x**3 + a * x + b) % q
+        if f and pow(f, (q - 1) // 2, q) == 1:
+            y = _sqrt_mod(f, q)
+            assert y * y % q == f
+            out.append((x, y, 1))
+    return out
+
+
+def test_count_points_near_default_ceiling():
+    # 99999989 is the last prime below 10^8, where the O(ell) oracle would
+    # take seconds and hundreds of MB.  Check instead: Hasse, N*P = O on E,
+    # (2*ell + 2 - N)*Q = O on the quadratic twist, and the CM formula
+    # a_ell = +-2u for ell = u^2 + v^2 with u odd (y^2 = x^3 - x, ell = 1 mod 4).
+    ell = 99999989
+    assert is_prime_naive(ell) and ell % 4 == 1
+    local._count_points_good.cache_clear()
+    start = time.perf_counter()
+    n = count_points(E32, ell)
+    assert time.perf_counter() - start < 1.0
+    a = ell + 1 - n
+    assert a * a <= 4 * ell
+    rng = random.Random(229)
+    for P in _points(-1, 0, ell, rng, 4):
+        assert _proj_mul(n, P, -1, ell)[2] == 0
+    g = next(g for g in range(2, ell) if pow(g, (ell - 1) // 2, ell) == ell - 1)
+    twist_a = -g * g % ell  # y^2 = x^3 - g^2*x
+    for Q in _points(twist_a, 0, ell, rng, 4):
+        assert _proj_mul(2 * ell + 2 - n, Q, twist_a, ell)[2] == 0
+        assert _proj_mul(n, Q, twist_a, ell)[2] != 0
+    # ell = u^2 + v^2 by Cornacchia from a square root of -1
+    r0, r1 = ell, _sqrt_mod(ell - 1, ell)
+    while r1 * r1 > ell:
+        r0, r1 = r1, r0 % r1
+    u, v = r1, int((ell - r1 * r1) ** 0.5)
+    assert u * u + v * v == ell
+    odd = u if u % 2 else v
+    assert abs(a) == 2 * odd
+
+
+PEAK_RSS_KIB = """
+import os, resource, sys
+from paritykit.local import count_points
+from paritykit.weierstrass import CurveModel
+count_points(CurveModel(0, 0, 0, -1, 0), 4035637)
+# VmHWM is the peak of this process image alone; on Linux ru_maxrss also
+# counts the forking test process, which holds far more than 64 MB.
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+else:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+def test_large_count_memory_stays_small():
+    # A count at the family's largest bad prime must not build O(ell) arrays;
+    # importing numpy and paritykit alone peaks near 29 MB.
+    src = str(pathlib.Path(paritykit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_KIB], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    assert peak_mb < 64, peak_mb
+
+
 def test_count_points_input_gates():
     with pytest.raises(ValueError, match="not a prime"):
         count_points(E11, 10)
@@ -108,7 +363,10 @@ def test_counting_ceiling(monkeypatch):
     assert max_counting_prime() == 10**8
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
     assert max_counting_prime() == 100
-    message = "prime too large for naive counting: 101 exceeds the ceiling 100"
+    message = (
+        "prime too large for point counting: 101 exceeds the ceiling 100; "
+        "raise PARITYKIT_MAX_ELL"
+    )
     tate_local.cache_clear()
     try:
         for probe in (count_points, tate_local, is_supersingular):
