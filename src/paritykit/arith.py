@@ -18,12 +18,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _IS_PRIME_BOUND = 2**64
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2**16
 _DEFAULT_FACTOR_BUDGET = 10.0
 
-# Every prime up to _prime_reach, ascending; grown on demand by _primes_up_to.
-_primes: list[int] = []
-_prime_reach = 1
 _factor_cache: dict[int, Factorization] = {}
 
 
@@ -39,19 +36,9 @@ def sieve_primes(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), flags))
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    """The cached prime list, grown to cover min(limit, _TRIAL_LIMIT).
-
-    The list may reach further than limit; callers cut it with bisect.
-    """
-    global _prime_reach
-    if _prime_reach < min(limit, _TRIAL_LIMIT):
-        # Re-sieve to at least four times the old reach, so that a list grown
-        # step by step costs little more than one sieve to its final length.
-        reach = min(_TRIAL_LIMIT, max(limit, 4 * _prime_reach, 1024))
-        _primes.extend(sieve_primes(reach)[len(_primes) :])
-        _prime_reach = reach
-    return _primes
+# Every prime up to _TRIAL_LIMIT, ascending: the trial divisors of factor and
+# the primes the Sturm scan walks (cut with bisect).
+_PRIMES = sieve_primes(_TRIAL_LIMIT)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -120,7 +107,7 @@ def _is_prime_unchecked(n: int) -> bool:
 
 
 def _pollard_rho(n: int, deadline: float | None) -> int:
-    # Brent's variant; n odd composite, no factor <= _TRIAL_LIMIT.
+    # Brent's variant; n odd composite, no prime factor below 2^16.
     if n % 2 == 0:
         return 2
     c = 1
@@ -167,9 +154,9 @@ def _iroot(m: int, k: int) -> int:
 
 
 def _perfect_power(m: int) -> tuple[int, int]:
-    """(r, k) with r**k == m and k largest, for m with no prime factor <= _TRIAL_LIMIT."""
-    # Each prime factor exceeds 2**19, so k * 19 < m.bit_length().
-    for k in range(m.bit_length() // 19, 1, -1):
+    """(r, k) with r**k == m and k largest, for m with no prime factor below 2^16."""
+    # Each prime factor exceeds 2**16, so k * 16 < m.bit_length().
+    for k in range(m.bit_length() // 16, 1, -1):
         r = _iroot(m, k)
         if r**k == m:
             return r, k
@@ -186,22 +173,12 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
     key = n
     deadline = None if time_budget is None else time.monotonic() + time_budget
     out: dict[int, int] = {}
-    tried = 0
-    while True:
-        for p in itertools.islice(_primes, tried, None):
-            if p * p > n:
-                break
-            if n % p == 0:
-                out[p] = _valuation(n, p)
-                n //= p ** out[p]
-        else:
-            # Every cached prime was tried: grow the list while a prime past
-            # its reach can still be at most sqrt(n).
-            if _prime_reach < _TRIAL_LIMIT and (_prime_reach + 1) ** 2 <= n:
-                tried = len(_primes)
-                _primes_up_to(_prime_reach + 1)
-                continue
-        break
+    for p in _PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            out[p] = _valuation(n, p)
+            n //= p ** out[p]
     if n > 1:
         stack = [(n, 1)]  # (cofactor, multiplicity)
         while stack:

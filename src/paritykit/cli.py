@@ -32,6 +32,12 @@ def _odd_prime(value: int) -> int:
     return value
 
 
+def _rank(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _match_rank(records, curve):
     for rec in records:
         if rec.curve == curve:
@@ -75,19 +81,14 @@ def _print_text_report(report, out) -> None:
         if ev.undetermined:
             out.write("  %d: sigma0 membership undetermined (additive at p = 3)\n" % ell)
     out.write("S1 = %s, S2 = %s\n" % (_fmt_set(report.s1), _fmt_set(report.s2)))
-    r1, r2 = report.ranks
     out.write(
         "ranks: E1 %s, E2 %s\n"
-        % tuple("unknown" if r is None else str(r) for r in (r1, r2))
+        % tuple("unknown" if r is None else str(r) for r in report.ranks)
     )
     if report.relation_holds is not None:
         out.write(
             "relation: r1 + |S1| = %d, r2 + |S2| = %d (mod 2) -> %s\n"
-            % (
-                (r1 + len(report.s1)) % 2,
-                (r2 + len(report.s2)) % 2,
-                "holds" if report.relation_holds else "VIOLATED",
-            )
+            % (*report.parities, "holds" if report.relation_holds else "VIOLATED")
         )
     if report.deduced is not None:
         d = report.deduced
@@ -99,6 +100,16 @@ def _print_text_report(report, out) -> None:
         out.write("\n")
     for h in report.hypotheses:
         out.write("hypothesis [%s]: %s\n" % (h.id, h.detail))
+
+
+def _deduce(report, bound: int | None) -> None:
+    """Set report.deduced when exactly one rank is known; ValueError when the
+    bound contradicts the forced parity."""
+    r1, r2 = report.ranks
+    if (r1 is None) == (r2 is None):
+        return
+    deduced = deduce_rank(r2 if r1 is None else r1, len(report.s1), len(report.s2), bound)
+    report.deduced = replace(deduced, curve="e2" if r2 is None else "e1")
 
 
 def _cmd_analyze(args) -> int:
@@ -142,15 +153,11 @@ def _cmd_analyze(args) -> int:
         assume_congruent=args.assume_congruent,
         labels=tuple(labels),
     )
-    if (rank1 is None) != (rank2 is None):
-        known = rank1 if rank1 is not None else rank2
-        bound = args.rank2_bound if rank2 is None else None
-        try:
-            deduced = deduce_rank(known, len(report.s1), len(report.s2), bound)
-        except ValueError as exc:
-            print("rank deduction: %s" % exc, file=sys.stderr)
-            return EXIT_VIOLATED
-        report.deduced = replace(deduced, curve="e2" if rank2 is None else "e1")
+    try:
+        _deduce(report, args.rank2_bound)
+    except ValueError as exc:
+        print("rank deduction: %s" % exc, file=sys.stderr)
+        return EXIT_VIOLATED
     if args.json:
         sys.stdout.write(emit_report(report))
     else:
@@ -255,10 +262,7 @@ def _cmd_scan(args) -> int:
                 verdict=verdict,
                 labels=(a.label, b.label),
             )
-            if (a.rank is None) != (b.rank is None):
-                known = a.rank if a.rank is not None else b.rank
-                deduced = deduce_rank(known, len(report.s1), len(report.s2))
-                report.deduced = replace(deduced, curve="e2" if b.rank is None else "e1")
+            _deduce(report, None)
         except (ComputationLimitError, ValueError) as exc:
             print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)
             continue
@@ -287,9 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--e1", required=True, help="curve literal [a1,a2,a3,a4,a6]")
     an.add_argument("--e2", required=True, help="curve literal [a1,a2,a3,a4,a6]")
     an.add_argument("-p", type=int, required=True, dest="p", help="odd supersingular prime")
-    an.add_argument("--rank1", type=int, default=None)
-    an.add_argument("--rank2", type=int, default=None)
-    an.add_argument("--rank2-bound", type=int, default=None, dest="rank2_bound")
+    an.add_argument("--rank1", type=_rank, default=None)
+    an.add_argument("--rank2", type=_rank, default=None)
+    an.add_argument("--rank2-bound", type=_rank, default=None, dest="rank2_bound")
     an.add_argument("--assume-congruent", action="store_true")
     an.add_argument("--ranks-file", default=None)
     an.add_argument("--json", action="store_true")

@@ -14,13 +14,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
 
-from .arith import _primes_up_to, factor, is_prime
+from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
 from .local import ReductionType, bad_reduction_data, tate_local
 from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
-# work, so bounds past a few tens of thousands stop being interactive.
+# work, so bounds past a few tens of thousands stop being interactive.  The
+# scan walks arith._PRIMES, so the cap must stay within arith._TRIAL_LIMIT.
 _BOUND_CAP = 20000
 
 
@@ -67,7 +68,7 @@ def _sturm_level(c1: CurveModel, c2: CurveModel, p: int, reduced: bool) -> tuple
     """
     level = {p: 2}
     for d in bad_reduction_data(c1) + bad_reduction_data(c2):
-        if reduced and d.red_type.is_multiplicative and d.ell != p and d.v_disc % p == 0:
+        if reduced and d.ell != p and d.unramified_mod(p):
             continue
         level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
     return prod(ell**e for ell, e in level.items()), _sturm(level)
@@ -134,8 +135,7 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
-    primes = _primes_up_to(limit)
-    for ell in primes[: bisect_right(primes, limit)]:
+    for ell in _PRIMES[: bisect_right(_PRIMES, limit)]:
         if ell == p:
             continue
         try:

@@ -124,8 +124,7 @@ def report_object(r: ParityReport) -> dict:
             "warnings": list(ev.warnings),
         }
     r1, r2 = r.ranks
-    lhs = None if r1 is None else (r1 + len(r.s1)) % 2
-    rhs = None if r2 is None else (r2 + len(r.s2)) % 2
+    lhs, rhs = r.parities
     deduced = None
     if r.deduced is not None:
         deduced = {

@@ -60,6 +60,10 @@ class LocalData:
     trace: int
     kodaira: str
 
+    def unramified_mod(self, p: int) -> bool:
+        """Tate-curve criterion at ell != p: multiplicative with p | v_ell(min disc)."""
+        return self.red_type.is_multiplicative and self.v_disc % p == 0
+
 
 @dataclass(frozen=True)
 class EulerPoly:
@@ -116,7 +120,6 @@ def count_points(c: CurveModel, ell: int) -> int:
     return _count_points_good(m, ell)
 
 
-@lru_cache(maxsize=None)
 def _count_points_good(m: CurveModel, ell: int) -> int:
     if ell <= 3:
         n = 1
@@ -407,16 +410,9 @@ def tate_local(c: CurveModel, ell: int) -> LocalData:
     return LocalData(ell, ReductionType.ADDITIVE, f, n, 0, kodaira)
 
 
-@lru_cache(maxsize=None)
 def conductor(c: CurveModel) -> int:
     """Product over bad primes of ell^cond_exp."""
-    disc = invariants(c).disc
-    if disc == 0:
-        raise ValueError("singular model: discriminant is zero")
-    n = 1
-    for q, _ in factor(disc):
-        n *= q ** tate_local(c, q).cond_exp
-    return n
+    return math.prod(d.ell**d.cond_exp for d in bad_reduction_data(c))
 
 
 def bad_reduction_data(c: CurveModel) -> list[LocalData]:

@@ -83,6 +83,13 @@ class ParityReport:
     labels: tuple[str, str] = ("E1", "E2")
     deduced: DeducedRank | None = None
 
+    @property
+    def parities(self) -> tuple[int | None, int | None]:
+        """(r1 + |S1|, r2 + |S2|) mod 2, None where the rank is unknown."""
+        return tuple(
+            None if r is None else (r + len(s)) % 2 for r, s in zip(self.ranks, (self.s1, self.s2))
+        )
+
 
 _RULE_TATE = "multiplicative with p | v_ell(min disc): the mod-p representation is unramified"
 _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces the drop"
@@ -111,7 +118,7 @@ def compute_sigma0(c1: CurveModel, c2: CurveModel, p: int) -> SigmaData:
         for i, (mine, other) in enumerate(((d1, d2), (d2, d1))):
             if mine.red_type is ReductionType.GOOD:
                 continue
-            if mine.red_type.is_multiplicative and mine.v_disc % p == 0:
+            if mine.unramified_mod(p):
                 reasons[i].append(_RULE_TATE)
             if other.red_type is ReductionType.GOOD:
                 reasons[i].append(_RULE_OTHER_GOOD)

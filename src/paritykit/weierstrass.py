@@ -177,7 +177,6 @@ def _solve_isomorphism(c: CurveModel, target: CurveModel, u: int) -> Isomorphism
     raise ArithmeticError("no isomorphism onto computed minimal model (internal error)")
 
 
-@lru_cache(maxsize=None)
 def minimal_model(c: CurveModel) -> tuple[CurveModel, Isomorphism]:
     """Global minimal model (Laska-Kraus-Connell) and the transformation onto it."""
     inv = invariants(c)

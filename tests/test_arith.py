@@ -123,19 +123,17 @@ def test_factor_budget_exhaustion():
         factor(p * q, time_budget=0.001)
 
 
-def reset_prime_list(monkeypatch):
+def reset_factor_cache(monkeypatch):
     # The state of a process that has not factored anything yet.
-    monkeypatch.setattr(arith, "_primes", [])
-    monkeypatch.setattr(arith, "_prime_reach", 1)
     monkeypatch.setattr(arith, "_factor_cache", {})
 
 
 @pytest.fixture
-def empty_prime_list(monkeypatch):
-    reset_prime_list(monkeypatch)
+def cold_factor_cache(monkeypatch):
+    reset_factor_cache(monkeypatch)
 
 
-def test_factor_prime_powers_skip_rho(empty_prime_list):
+def test_factor_prime_powers_skip_rho(cold_factor_cache):
     # rho needs about sqrt(q) = 10^6 steps to split q**k; a root test does not
     q = 1000000000039
     assert is_prime(q)
@@ -152,17 +150,21 @@ BOUNDARY_VALUES = (
     999979 * 999983,  # second-largest factor just below 10^6, cofactor prime
     2 * 999983 * 1000000007,
     97 * 999961 * 999979 * 999983,
+    # around the trial-division limit 2^16: 65521 is the last prime below it,
+    # 65537 the first above
+    65521 * 65537,
+    65521**3 * 65537**2,
+    2 * 65537 * 999983 * 1000000007,
 )
 
 
-def test_factor_small_call_sieves_little(empty_prime_list):
+def test_factor_small_call_sieves_little(cold_factor_cache):
     assert factor(69) == [(3, 1), (23, 1)]
-    assert arith._prime_reach < 10**4
     assert factor(1) == []
 
 
 @pytest.mark.parametrize("n", BOUNDARY_VALUES)
-def test_factor_independent_of_prime_list_state(n, monkeypatch, empty_prime_list):
+def test_factor_independent_of_prime_list_state(n, monkeypatch, cold_factor_cache):
     cold = factor(n)
     prod = 1
     for p, e in cold:
@@ -170,15 +172,13 @@ def test_factor_independent_of_prime_list_state(n, monkeypatch, empty_prime_list
         prod *= p**e
     assert prod == n
     assert cold == sorted(cold)
-    # same result once a small call has grown the list part of the way
-    reset_prime_list(monkeypatch)
+    # same result after an unrelated small call
+    reset_factor_cache(monkeypatch)
     factor(2 * 3 * 1009 * 1013)
-    assert 1 < arith._prime_reach < arith._TRIAL_LIMIT
     assert factor(n) == cold
-    # and once the list is complete
+    # and from a cold cache again
     monkeypatch.setattr(arith, "_factor_cache", {})
     assert factor(n) == cold
-    assert arith._primes == sieve_primes(arith._prime_reach)
 
 
 def test_valuation():

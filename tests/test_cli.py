@@ -84,6 +84,17 @@ def test_analyze_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "ranks",
+    [["--rank1", "-1", "--rank2", "1"], ["--rank1", "-1"], ["--rank1", "0", "--rank2-bound", "-1"]],
+)
+def test_analyze_negative_ranks_are_usage_errors(ranks, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--e1", E69, "--e2", E897, "-p", "5", *ranks])
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_analyze_deduction_contradiction(capsys):
     code = run(
         ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--rank1", "0", "--rank2-bound", "0"]

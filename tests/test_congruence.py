@@ -217,12 +217,20 @@ def test_level_needs_no_factoring_of_the_lcm(monkeypatch):
     assert (v.level, v.bound) == (22425, 6720)
 
 
-def test_readme_analyze_grows_prime_list_little(monkeypatch, capsys):
-    monkeypatch.setattr(arith, "_primes", [])
-    monkeypatch.setattr(arith, "_prime_reach", 1)
+def test_readme_analyze_sieves_nothing(monkeypatch, capsys):
+    # The one prime table is built at import; no request sieves again.
+    def refuse(limit):
+        raise AssertionError("sieve_primes(%d) called" % limit)
+
+    monkeypatch.setattr(arith, "sieve_primes", refuse)
     monkeypatch.setattr(arith, "_factor_cache", {})
     argv = ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
             "-p", "5", "--rank1", "0", "--rank2", "1"]
     assert run(argv) == 0
     assert "level 22425, Sturm bound 6720" in capsys.readouterr().out
-    assert 6720 <= arith._prime_reach <= 10**5
+
+
+def test_scan_cap_within_prime_table():
+    # The Sturm scan walks arith._PRIMES, which ends at the trial limit.
+    assert paritykit.congruence._BOUND_CAP <= arith._TRIAL_LIMIT
+    assert arith._PRIMES == arith.sieve_primes(arith._TRIAL_LIMIT)
