@@ -5,24 +5,44 @@ Frobenius away from bad primes.  The converse direction is certified up to a
 Sturm bound: weight-2 forms on Gamma_0(L) that agree at every prime up to the
 bound agree everywhere.  A Verified result therefore certifies congruence of
 the semisimplified representations; irreducibility is not checked here.
+
+The scan walks arith._PRIMES.  A prime ell >= 5 other than p that divides
+neither model's discriminant takes the direct path: both models are minimal
+with good reduction there, so both traces are counted from their short forms
+on one shared character table, with no primality proof, minimal model or
+Tate's algorithm.  Each curve keeps those traces in a compact per-curve table
+(_TRACES), filled one prime at a time as far as a scan has walked and reused
+by later pairs.  The counting ceiling is read once per call and checked at
+every direct-path prime, stored or not.  Primes <= 3, primes dividing either
+discriminant and ell = p go through tate_local.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
-from .local import ReductionType, bad_reduction_data, tate_local
-from .weierstrass import CurveModel
+from .local import ReductionType, bad_reduction_data, max_counting_prime, tate_local
+from .local import _check_ceiling, _count_short_forms, _short_form
+from .weierstrass import CurveModel, invariants
 
 # A full scan costs roughly the sum of all primes below the bound in counting
 # work, so bounds past a few tens of thousands stop being interactive.  The
 # scan walks arith._PRIMES, so the cap must stay within arith._TRIAL_LIMIT.
 _BOUND_CAP = 20000
+
+# Good-prime traces per curve model, indexed like arith._PRIMES: entry i is
+# a_ell at ell = _PRIMES[i], or _UNSET where no scan has counted it (ell <= 3,
+# ell = p, or ell dividing a discriminant of the pair).  |a_ell| <= 2*sqrt(ell)
+# < 512 below the cap, so int16 holds every trace, about 4.5 KB per curve at
+# most.  A table grows only as far as a scan has walked.
+_TRACES: dict[CurveModel, array] = {}
+_UNSET = -(2**15)
 
 
 class CongruenceStatus(enum.Enum):
@@ -94,6 +114,23 @@ def _compared_pair(d1, d2, p: int) -> tuple[int, int] | None:
     return pair if good1 else (pair[1], pair[0])
 
 
+def _good_traces(tables, forms, i: int, ell: int) -> tuple[int, int]:
+    """Traces of both curves at ell = _PRIMES[i] >= 5, a good prime for both.
+
+    Traces already in the curves' tables are reused; the others are counted
+    together on one character table and stored at index i.
+    """
+    missing = [k for k, t in enumerate(tables) if len(t) <= i or t[i] == _UNSET]
+    if missing:
+        counts = _count_short_forms(ell, [forms[k] for k in missing])
+        for k, n in zip(missing, counts):
+            t = tables[k]
+            if len(t) <= i:
+                t.extend(array("h", [_UNSET]) * (i + 1 - len(t)))
+            t[i] = ell + 1 - n
+    return tables[0][i], tables[1][i]
+
+
 def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdict:
     """Compare a_ell(E1) and a_ell(E2) mod p for all primes up to a Sturm bound.
 
@@ -135,28 +172,37 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
-    for ell in _PRIMES[: bisect_right(_PRIMES, limit)]:
+    ceiling = max_counting_prime()
+    disc1, disc2 = invariants(c1).disc, invariants(c2).disc
+    tables = _TRACES.setdefault(c1, array("h")), _TRACES.setdefault(c2, array("h"))
+    forms = _short_form(c1), _short_form(c2)
+    for i, ell in enumerate(_PRIMES[: bisect_right(_PRIMES, limit)]):
         if ell == p:
             continue
         try:
-            d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
+            if ell >= 5 and disc1 % ell and disc2 % ell:
+                # Good for both, so both models are already minimal at ell.
+                _check_ceiling(ell, ceiling)
+                pair = _good_traces(tables, forms, i, ell)
+            else:
+                d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
+                pair = _compared_pair(d1, d2, p)
+                if pair is None:
+                    continue
+                # Past the skip above, an additive entry here means the other curve is good.
+                if structural is None and p >= 5 and ReductionType.ADDITIVE in (d1.red_type, d2.red_type):
+                    structural = ell
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))
             return CongruenceVerdict(
                 CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
             )
-        pair = _compared_pair(d1, d2, p)
-        if pair is None:
-            continue
         checked += 1
         if (pair[0] - pair[1]) % p != 0:
             notes.append("First mismatch at ell = %d." % ell)
             return CongruenceVerdict(
                 CongruenceStatus.FAILED, level, bound, checked, (ell, pair[0], pair[1]), " ".join(notes)
             )
-        # Past the skip above, an additive entry here means the other curve is good.
-        if structural is None and p >= 5 and ReductionType.ADDITIVE in (d1.red_type, d2.red_type):
-            structural = ell
     if structural is not None:
         # Additive versus good forces a ramification mismatch of the mod-p
         # representations for p >= 5 even when the traces happen to agree.

@@ -13,9 +13,9 @@ precision.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .congruence import CongruenceVerdict
 from .local import conductor
@@ -75,18 +75,6 @@ def emit_curve_file(records) -> str:
         rank = "?" if r.rank is None else str(r.rank)
         lines.append("%s %s %s %s" % (r.label, cond, r.curve, rank))
     return "\n".join(lines) + "\n"
-
-
-def _clamp(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _BIG else value
-    if isinstance(value, (list, tuple)):
-        return [_clamp(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _clamp(v) for k, v in value.items()}
-    return value
 
 
 def _tau_block(records) -> dict:
@@ -154,8 +142,53 @@ def report_object(r: ParityReport) -> dict:
 
 
 def emit_json(obj) -> str:
-    """Deterministic JSON text of a plain object tree, big integers as strings."""
-    return json.dumps(_clamp(obj), indent=2) + "\n"
+    """Deterministic JSON text of a plain object tree, big integers as strings.
+
+    The text equals ``json.dumps(obj, indent=2)`` with every integer of
+    magnitude above 2^53 replaced by its decimal string, plus a newline.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    # newline is a line break followed by the indentation of value's own line.
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append('"%d"' % value if abs(value) > _BIG else "%d" % value)
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be str, got %s" % type(key).__name__)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def emit_report(r: ParityReport) -> str:

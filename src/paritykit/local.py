@@ -7,6 +7,12 @@ exact point counting on the short Weierstrass form: exhaustive enumeration at
 and from there up Shanks-Mestre baby-step giant-step over the curve and its
 quadratic twist in O(ell^(1/4)) group operations (Cohen, "A Course in
 Computational Algebraic Number Theory", 7.4.3).
+
+_count_short_forms is the one counting kernel for ell >= 5.  It takes any
+number of short forms at one prime; below _BSGS_MIN_ELL they share one table
+of x, x^3 and the quadratic character mod ell.  count_points and tate_local
+call it with one curve; the Sturm scan in congruence.py calls it with both
+curves of a pair, on models that are good, hence minimal, at ell.
 """
 
 from __future__ import annotations
@@ -102,8 +108,7 @@ def max_counting_prime() -> int:
     return value
 
 
-def _check_ceiling(ell: int) -> None:
-    ceiling = max_counting_prime()
+def _check_ceiling(ell: int, ceiling: int) -> None:
     if ell > ceiling:
         raise ComputationLimitError(
             "prime too large for point counting: %d exceeds the ceiling %d; "
@@ -114,47 +119,60 @@ def _check_ceiling(ell: int) -> None:
 def count_points(c: CurveModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity; requires good reduction at ell."""
     m = minimal_model_at(c, ell)  # rejects an ell that is not prime
-    _check_ceiling(ell)
+    _check_ceiling(ell, max_counting_prime())
     if invariants(m).disc % ell == 0:
         raise ValueError("bad reduction at %d; use tate_local for local data" % ell)
     return _count_points_good(m, ell)
 
 
 def _count_points_good(m: CurveModel, ell: int) -> int:
-    if ell <= 3:
-        n = 1
-        for x in range(ell):
-            rhs = (x**3 + m.a2 * x * x + m.a4 * x + m.a6) % ell
-            for y in range(ell):
-                if (y * y + m.a1 * x * y + m.a3 * y - rhs) % ell == 0:
-                    n += 1
-    else:
-        n = _count_short_form(m, ell)
+    if ell > 3:
+        return _count_short_forms(ell, [_short_form(m)])[0]
+    n = 1
+    for x in range(ell):
+        rhs = (x**3 + m.a2 * x * x + m.a4 * x + m.a6) % ell
+        for y in range(ell):
+            if (y * y + m.a1 * x * y + m.a3 * y - rhs) % ell == 0:
+                n += 1
+    return _within_hasse(n, ell)
+
+
+def _within_hasse(n: int, ell: int) -> int:
     a = ell + 1 - n
     if a * a > 4 * ell:
         raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
     return n
 
 
-def _count_short_form(m: CurveModel, ell: int) -> int:
-    # y^2 = x^3 + Ax + B with A = -27*c4, B = -54*c6 (valid away from 2 and 3).
+def _short_form(m: CurveModel) -> tuple[int, int]:
+    # y^2 = x^3 + A*x + B with A = -27*c4, B = -54*c6 is isomorphic to m over
+    # F_ell for every prime ell >= 5.
     inv = invariants(m)
-    a = (-27 * inv.c4) % ell
-    b = (-54 * inv.c6) % ell
-    if ell < _BSGS_MIN_ELL:
-        return _character_sum(a, b, ell)
-    return _shanks_mestre(a, b, ell)
+    return -27 * inv.c4, -54 * inv.c6
 
 
-def _character_sum(a: int, b: int, ell: int) -> int:
-    # Called only below _BSGS_MIN_ELL, so each array holds a few thousand entries.
+def _count_short_forms(ell: int, forms) -> list[int]:
+    # #E(F_ell) of y^2 = x^3 + A*x + B for each (A, B) in forms, at a prime
+    # ell >= 5 of good reduction for every form.  Below _BSGS_MIN_ELL the forms
+    # share one table: x, x^3 and the quadratic character chi mod ell are built
+    # once, and each form costs one gather and one sum,
+    # #E = ell + 1 + sum_x chi(x^3 + A*x + B).  Arrays hold a few thousand entries.
+    if ell >= _BSGS_MIN_ELL:
+        return [_within_hasse(_shanks_mestre(a % ell, b % ell, ell), ell) for a, b in forms]
     x = np.arange(ell, dtype=np.int64)
     x2 = x * x % ell
-    squares = np.zeros(ell, dtype=bool)
-    squares[x2[: ell // 2 + 1]] = True
-    f = (x2 * x + a * x + b) % ell
-    zero = f == 0
-    return 1 + 2 * int(np.count_nonzero(squares[f] & ~zero)) + int(np.count_nonzero(zero))
+    chi = np.full(ell, -1, dtype=np.int8)
+    chi[x2[: ell // 2 + 1]] = 1
+    chi[0] = 0
+    x3 = x2 * x % ell
+    counts = []
+    for a, b in forms:
+        f = x * (a % ell)
+        f += x3
+        f += b % ell
+        f %= ell
+        counts.append(_within_hasse(ell + 1 + int(chi.take(f).sum(dtype=np.int64)), ell))
+    return counts
 
 
 def _shanks_mestre(a: int, b: int, ell: int) -> int:
@@ -391,7 +409,7 @@ def tate_local(c: CurveModel, ell: int) -> LocalData:
     inv = invariants(m)
     n = _valuation(inv.disc, ell)
     if n == 0:
-        _check_ceiling(ell)
+        _check_ceiling(ell, max_counting_prime())
         trace = ell + 1 - _count_points_good(m, ell)
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:

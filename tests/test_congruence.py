@@ -1,12 +1,15 @@
 """Congruence verification and Sturm bounds."""
 
+import gc
 import random
+import sys
+import tracemalloc
 from math import lcm
 
 import pytest
 
 import paritykit.congruence
-from paritykit import arith
+from paritykit import arith, local, weierstrass
 from paritykit.arith import factor
 from paritykit.cli import run
 from paritykit.congruence import (
@@ -16,7 +19,7 @@ from paritykit.congruence import (
 )
 from paritykit.family import base_curve, member
 from paritykit.local import ReductionType, conductor, count_points, tate_local
-from paritykit.weierstrass import CurveModel, discriminant
+from paritykit.weierstrass import CurveModel, discriminant, invariants
 
 E32 = CurveModel(0, 0, 0, -1, 0)
 E69 = CurveModel(1, 0, 1, -1, -1)
@@ -234,3 +237,145 @@ def test_scan_cap_within_prime_table():
     # The Sturm scan walks arith._PRIMES, which ends at the trial limit.
     assert paritykit.congruence._BOUND_CAP <= arith._TRIAL_LIMIT
     assert arith._PRIMES == arith.sieve_primes(arith._TRIAL_LIMIT)
+
+
+E69_NONMINIMAL = CurveModel(7, 0, 343, -2401, -117649)  # 69a scaled by u = 7
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty every memo the scan fills: local data, trace tables, invariants, factorizations."""
+
+    def clear():
+        tate_local.cache_clear()
+        invariants.cache_clear()
+        paritykit.congruence._TRACES.clear()
+
+    monkeypatch.setattr(arith, "_factor_cache", {})
+    clear()
+    yield
+    clear()
+
+
+def patch_everywhere(monkeypatch, module, name, wrapper):
+    """Replace module.name in every paritykit module that binds it."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("paritykit") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper(original))
+
+
+def recorder(seen):
+    def wrap(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    return wrap
+
+
+def direct_primes(c1, c2, p, bound):
+    """Scanned primes >= 5 other than p that divide neither discriminant."""
+    d = discriminant(c1) * discriminant(c2)
+    return {ell for ell in arith._PRIMES if 5 <= ell <= bound and ell != p and d % ell}
+
+
+@pytest.mark.parametrize("c1, c2, p", [
+    (E69, E897, 5),
+    (E69_NONMINIMAL, E897, 5),
+    (base_curve(5), member(5, 6), 3),
+])
+def test_good_primes_skip_primality_and_minimal_models(c1, c2, p, monkeypatch, cold_caches):
+    primes, models = [], []
+    patch_everywhere(monkeypatch, arith, "is_prime", recorder(primes))
+    patch_everywhere(monkeypatch, weierstrass, "minimal_model_at", recorder(models))
+    v = check_congruence(c1, c2, p)
+    assert v.status is CongruenceStatus.VERIFIED
+    direct = direct_primes(c1, c2, p, v.bound)
+    assert len(direct) > 100
+    seen_primes = {args[0] for args in primes}
+    seen_models = {args[1] for args in models}
+    assert seen_models, "the recorder saw no call: the patch missed"
+    assert not seen_primes & direct
+    assert not seen_models & direct
+
+
+def test_nonminimal_model_bad_discriminant_prime_uses_tate(cold_caches):
+    # 7 divides the discriminant of the scaled model although the curve is
+    # good there, so ell = 7 goes through Tate's algorithm.
+    assert discriminant(E69_NONMINIMAL) % 7 == 0
+    v = check_congruence(E69_NONMINIMAL, E897, 5)
+    assert (v.status, v.level, v.bound, v.checked_primes) == (CongruenceStatus.VERIFIED, 22425, 6720, 864)
+    assert tate_local(E69_NONMINIMAL, 7).red_type is ReductionType.GOOD
+    assert tate_local(E69_NONMINIMAL, 7).trace == tate_local(E69, 7).trace
+
+
+def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
+    counted = []
+    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    e2 = CurveModel(1, 0, 1, 33, -53)
+    v = check_congruence(E69, e2, 5)
+    assert v.status is CongruenceStatus.FAILED
+    assert v.witness == (17, 4, -3)
+    assert counted and max(args[0] for args in counted) == 17
+    # the tables end at the witness: nothing was filled ahead
+    for c in (E69, e2):
+        assert len(paritykit.congruence._TRACES[c]) == arith._PRIMES.index(17) + 1
+
+
+def test_stored_traces_match_tate_local(cold_caches):
+    for c2 in (member(1, 3), member(1, 6)):
+        check_congruence(E32, c2, 3)
+    for c, table in paritykit.congruence._TRACES.items():
+        stored = [(ell, a) for ell, a in zip(arith._PRIMES, table) if a != paritykit.congruence._UNSET]
+        assert len(stored) > 10
+        for ell, a in stored:
+            assert a == tate_local(c, ell).trace, (c, ell)
+
+
+def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
+    counted = []
+    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    first = check_congruence(E32, member(1, 3), 3)
+    assert {len(args[1]) for args in counted} == {2}
+    counted.clear()
+    second = check_congruence(E32, member(1, 6), 3)
+    assert {len(args[1]) for args in counted} == {1}
+    counted.clear()
+    assert check_congruence(E32, member(1, 3), 3) == first
+    assert check_congruence(member(1, 6), E32, 3).checked_primes == second.checked_primes
+    assert counted == []
+
+
+def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
+    cold = check_congruence(E69, E897, 5)
+    monkeypatch.delenv("PARITYKIT_MAX_ELL")
+    assert check_congruence(E69, E897, 5).status is CongruenceStatus.VERIFIED
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
+    warm = check_congruence(E69, E897, 5)
+    assert warm == cold
+    assert warm.status is CongruenceStatus.INCONCLUSIVE
+    assert warm.caveat.endswith(
+        "Scan aborted at 7: prime too large for point counting: 7 exceeds the "
+        "ceiling 5; raise PARITYKIT_MAX_ELL."
+    )
+
+
+def test_scan_memory_stays_bounded(cold_caches):
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        v = check_congruence(E69, E897, 5)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert v.status is CongruenceStatus.VERIFIED
+    assert retained < 64 * 1024, retained
+    # Local data is memoized only at primes <= 3 and primes dividing a
+    # discriminant: {2, 3} and {3, 13, 23} for each of the two curves.
+    assert tate_local.cache_info().currsize <= 2 * len({2, 3, 13, 23})

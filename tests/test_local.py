@@ -136,6 +136,22 @@ def check_against_oracle(A, B, ell):
     return True
 
 
+def test_shared_table_kernel_matches_oracle():
+    # The character-sum kernel counts one or several curves per call on one
+    # table; every prime below the crossover, with random, j = 0 and j = 1728
+    # curves, alone and in pairs.
+    rng = random.Random(229)
+    for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
+        forms = [(rng.randrange(ell), rng.randrange(ell)) for _ in range(2)]
+        forms += [(0, rng.randrange(1, ell)), (rng.randrange(1, ell), 0)]
+        forms = [(A, B) for A, B in forms if (4 * A**3 + 27 * B**2) % ell]
+        expected = [character_sum_count(A, B, ell) for A, B in forms]
+        assert [local._count_short_forms(ell, [f])[0] for f in forms] == expected, ell
+        pairs = [local._count_short_forms(ell, forms[k : k + 2]) for k in range(0, len(forms), 2)]
+        assert sum(pairs, []) == expected, ell
+        assert local._count_short_forms(ell, forms[::-1]) == expected[::-1], ell
+
+
 def test_bsgs_crossover_respects_mestre_bound():
     # Mestre's theorem makes the twist walk end with one group order only
     # for ell > 229.
