@@ -172,13 +172,16 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
-    ceiling = max_counting_prime()
-    disc1, disc2 = invariants(c1).disc, invariants(c2).disc
-    tables = _TRACES.setdefault(c1, array("h")), _TRACES.setdefault(c2, array("h"))
-    forms = _short_form(c1), _short_form(c2)
+    tables = None
     for i, ell in enumerate(_PRIMES[: bisect_right(_PRIMES, limit)]):
         if ell == p:
             continue
+        if tables is None and ell >= 5:
+            # Set up the direct path only for scans that get past 2 and 3.
+            ceiling = max_counting_prime()
+            disc1, disc2 = invariants(c1).disc, invariants(c2).disc
+            tables = _TRACES.setdefault(c1, array("h")), _TRACES.setdefault(c2, array("h"))
+            forms = _short_form(c1), _short_form(c2)
         try:
             if ell >= 5 and disc1 % ell and disc2 % ell:
                 # Good for both, so both models are already minimal at ell.

@@ -161,17 +161,18 @@ def _count_short_forms(ell: int, forms) -> list[int]:
         return [_within_hasse(_shanks_mestre(a % ell, b % ell, ell), ell) for a, b in forms]
     x = np.arange(ell, dtype=np.int64)
     x2 = x * x % ell
-    chi = np.full(ell, -1, dtype=np.int8)
+    chi = np.empty(ell, dtype=np.int8)
+    chi.fill(-1)
     chi[x2[: ell // 2 + 1]] = 1
     chi[0] = 0
-    x3 = x2 * x % ell
+    x3 = x2 * x  # below ell^2: reduced once, with the rest of f
     counts = []
     for a, b in forms:
         f = x * (a % ell)
         f += x3
         f += b % ell
         f %= ell
-        counts.append(_within_hasse(ell + 1 + int(chi.take(f).sum(dtype=np.int64)), ell))
+        counts.append(_within_hasse(ell + 1 + int(np.add.reduce(chi.take(f), dtype=np.int64)), ell))
     return counts
 
 
