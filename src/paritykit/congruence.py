@@ -22,7 +22,9 @@ from __future__ import annotations
 import enum
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 
 from .arith import _PRIMES, factor, is_prime
@@ -41,7 +43,7 @@ _BOUND_CAP = 20000
 # ell = p, or ell dividing a discriminant of the pair).  |a_ell| <= 2*sqrt(ell)
 # < 512 below the cap, so int16 holds every trace, about 4.5 KB per curve at
 # most.  A table grows only as far as a scan has walked.
-_TRACES: dict[CurveModel, array] = {}
+_TRACES: defaultdict[CurveModel, array] = defaultdict(partial(array, "h"))
 _UNSET = -(2**15)
 
 
@@ -114,7 +116,7 @@ def _compared_pair(d1, d2, p: int) -> tuple[int, int] | None:
     return pair if good1 else (pair[1], pair[0])
 
 
-def _good_traces(tables, forms, i: int, ell: int) -> tuple[int, int]:
+def _good_traces(tables, invs, i: int, ell: int) -> tuple[int, int]:
     """Traces of both curves at ell = _PRIMES[i] >= 5, a good prime for both.
 
     Traces already in the curves' tables are reused; the others are counted
@@ -122,7 +124,7 @@ def _good_traces(tables, forms, i: int, ell: int) -> tuple[int, int]:
     """
     missing = [k for k, t in enumerate(tables) if len(t) <= i or t[i] == _UNSET]
     if missing:
-        counts = _count_short_forms(ell, [forms[k] for k in missing])
+        counts = _count_short_forms(ell, [_short_form(invs[k]) for k in missing])
         for k, n in zip(missing, counts):
             t = tables[k]
             if len(t) <= i:
@@ -179,21 +181,22 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
         if tables is None and ell >= 5:
             # Set up the direct path only for scans that get past 2 and 3.
             ceiling = max_counting_prime()
-            disc1, disc2 = invariants(c1).disc, invariants(c2).disc
-            tables = _TRACES.setdefault(c1, array("h")), _TRACES.setdefault(c2, array("h"))
-            forms = _short_form(c1), _short_form(c2)
+            invs = invariants(c1), invariants(c2)
+            disc1, disc2 = invs[0].disc, invs[1].disc
+            tables = _TRACES[c1], _TRACES[c2]
         try:
             if ell >= 5 and disc1 % ell and disc2 % ell:
                 # Good for both, so both models are already minimal at ell.
                 _check_ceiling(ell, ceiling)
-                pair = _good_traces(tables, forms, i, ell)
+                pair = _good_traces(tables, invs, i, ell)
             else:
                 d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
                 pair = _compared_pair(d1, d2, p)
                 if pair is None:
                     continue
                 # Past the skip above, an additive entry here means the other curve is good.
-                if structural is None and p >= 5 and ReductionType.ADDITIVE in (d1.red_type, d2.red_type):
+                additive = ReductionType.ADDITIVE in (d1.red_type, d2.red_type)
+                if structural is None and p >= 5 and additive:
                     structural = ell
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))

@@ -27,7 +27,14 @@ import numpy as np
 
 from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
-from .weierstrass import CurveModel, Isomorphism, invariants, minimal_model_at, transform
+from .weierstrass import (
+    CurveModel,
+    Invariants,
+    Isomorphism,
+    invariants,
+    minimal_model_at,
+    transform,
+)
 
 _DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
@@ -127,7 +134,7 @@ def count_points(c: CurveModel, ell: int) -> int:
 
 def _count_points_good(m: CurveModel, ell: int) -> int:
     if ell > 3:
-        return _count_short_forms(ell, [_short_form(m)])[0]
+        return _count_short_forms(ell, [_short_form(invariants(m))])[0]
     n = 1
     for x in range(ell):
         rhs = (x**3 + m.a2 * x * x + m.a4 * x + m.a6) % ell
@@ -144,10 +151,9 @@ def _within_hasse(n: int, ell: int) -> int:
     return n
 
 
-def _short_form(m: CurveModel) -> tuple[int, int]:
-    # y^2 = x^3 + A*x + B with A = -27*c4, B = -54*c6 is isomorphic to m over
-    # F_ell for every prime ell >= 5.
-    inv = invariants(m)
+def _short_form(inv: Invariants) -> tuple[int, int]:
+    # y^2 = x^3 + A*x + B with A = -27*c4, B = -54*c6 is isomorphic to the
+    # model over F_ell for every prime ell >= 5.
     return -27 * inv.c4, -54 * inv.c6
 
 
@@ -172,7 +178,8 @@ def _count_short_forms(ell: int, forms) -> list[int]:
         f += x3
         f += b % ell
         f %= ell
-        counts.append(_within_hasse(ell + 1 + int(np.add.reduce(chi.take(f), dtype=np.int64)), ell))
+        total = int(np.add.reduce(chi.take(f), dtype=np.int64))
+        counts.append(_within_hasse(ell + 1 + total, ell))
     return counts
 
 
