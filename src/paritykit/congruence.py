@@ -184,25 +184,27 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
             invs = invariants(c1), invariants(c2)
             disc1, disc2 = invs[0].disc, invs[1].disc
             tables = _TRACES[c1], _TRACES[c2]
+        # Good for both, so both models are already minimal at ell.
+        direct = ell >= 5 and disc1 % ell and disc2 % ell
         try:
-            if ell >= 5 and disc1 % ell and disc2 % ell:
-                # Good for both, so both models are already minimal at ell.
+            if direct:
                 _check_ceiling(ell, ceiling)
                 pair = _good_traces(tables, invs, i, ell)
             else:
                 d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
-                pair = _compared_pair(d1, d2, p)
-                if pair is None:
-                    continue
-                # Past the skip above, an additive entry here means the other curve is good.
-                additive = ReductionType.ADDITIVE in (d1.red_type, d2.red_type)
-                if structural is None and p >= 5 and additive:
-                    structural = ell
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))
             return CongruenceVerdict(
                 CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
             )
+        if not direct:
+            pair = _compared_pair(d1, d2, p)
+            if pair is None:
+                continue
+            # Past the skip above, an additive entry here means the other curve is good.
+            additive = ReductionType.ADDITIVE in (d1.red_type, d2.red_type)
+            if structural is None and p >= 5 and additive:
+                structural = ell
         checked += 1
         if (pair[0] - pair[1]) % p != 0:
             notes.append("First mismatch at ell = %d." % ell)
