@@ -242,6 +242,62 @@ def test_scan_cap_within_prime_table():
 E69_NONMINIMAL = CurveModel(7, 0, 343, -2401, -117649)  # 69a scaled by u = 7
 
 
+def reference_scan(c1, c2, p, limit, hits):
+    """(checked primes, witness) of the comparison rules, walked with tate_local."""
+    checked = 0
+    for ell in arith._PRIMES:
+        if ell > limit:
+            break
+        if ell == p:
+            hits["ell = p"] += 1
+            continue
+        d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
+        good1 = d1.red_type is ReductionType.GOOD
+        good2 = d2.red_type is ReductionType.GOOD
+        if not good1 and not good2:
+            hits["bad for both"] += 1
+            continue
+        a1, a2 = d1.trace, d2.trace
+        if not good1 or not good2:
+            bad = d2 if good1 else d1
+            if bad.red_type.is_multiplicative:
+                hits["multiplicative against good"] += 1
+                b = bad.trace * (ell + 1)
+            elif p == 3:
+                hits["additive against good"] += 1
+                continue
+            else:
+                hits["additive against good"] += 1
+                b = 0
+            a1, a2 = (a1, b) if good1 else (b, a2)
+        checked += 1
+        if (a1 - a2) % p:
+            return checked, (ell, a1, a2)
+    return checked, None
+
+
+def reference_cases():
+    yield E69, E897, 5
+    yield E32, member(1, 207), 3
+    yield E69_NONMINIMAL, E897, 5
+    for D in (1, 2, 5, 7):
+        yield base_curve(D), member(D, 3), 3
+    rng = random.Random(8)
+    for p in (3, 5, 7):
+        for _ in range(150):
+            yield random_curve(rng), random_curve(rng), p
+
+
+def test_scan_matches_reference_rules(cold_caches):
+    hits = {rule: 0 for rule in ("ell = p", "bad for both", "multiplicative against good",
+                                 "additive against good")}
+    for c1, c2, p in reference_cases():
+        v = check_congruence(c1, c2, p)
+        limit = min(v.bound, paritykit.congruence._BOUND_CAP)
+        assert (v.checked_primes, v.witness) == reference_scan(c1, c2, p, limit, hits), (c1, c2, p)
+    assert all(hits.values()), hits
+
+
 @pytest.fixture
 def cold_caches(monkeypatch):
     """Empty every memo the scan fills: local data, trace tables, invariants, factorizations."""
