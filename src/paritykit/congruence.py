@@ -6,45 +6,31 @@ Sturm bound: weight-2 forms on Gamma_0(L) that agree at every prime up to the
 bound agree everywhere.  A Verified result therefore certifies congruence of
 the semisimplified representations; irreducibility is not checked here.
 
-The scan walks arith._PRIMES.  A prime ell >= 5 other than p that divides
-neither model's discriminant takes the direct path: both models are minimal
-with good reduction there, so both traces are counted from their short forms
-on one shared character table, with no primality proof, minimal model or
-Tate's algorithm.  Each curve keeps those traces in a compact per-curve table
-(_TRACES), filled one prime at a time as far as a scan has walked and reused
-by later pairs.  The counting ceiling is read once per call and checked at
-every direct-path prime, stored or not.  Primes <= 3, primes dividing either
-discriminant and ell = p go through tate_local.
+The scan walks arith._PRIMES and branches only on each curve's reduction
+type at ell, read off its bad-prime data: ell = p and primes bad for both
+curves are skipped; at a prime bad for one curve the good trace is compared
+with +-(ell + 1) at a multiplicative prime and with 0 at an additive one
+(skipped at p = 3); at a prime good for both the two traces are compared.
+Good traces come from local._good_traces, which keeps them per curve and
+checks the counting ceiling, read once per call, at every prime it serves.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from math import prod
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
-from .local import ReductionType, bad_reduction_data, max_counting_prime, tate_local
-from .local import _check_ceiling, _count_short_forms, _short_form
-from .weierstrass import CurveModel, invariants
+from .local import _good_traces, bad_reduction_data, max_counting_prime
+from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
 # work, so bounds past a few tens of thousands stop being interactive.  The
 # scan walks arith._PRIMES, so the cap must stay within arith._TRIAL_LIMIT.
 _BOUND_CAP = 20000
-
-# Good-prime traces per curve model, indexed like arith._PRIMES: entry i is
-# a_ell at ell = _PRIMES[i], or _UNSET where no scan has counted it (ell <= 3,
-# ell = p, or ell dividing a discriminant of the pair).  |a_ell| <= 2*sqrt(ell)
-# < 512 below the cap, so int16 holds every trace, about 4.5 KB per curve at
-# most.  A table grows only as far as a scan has walked.
-_TRACES: defaultdict[CurveModel, array] = defaultdict(partial(array, "h"))
-_UNSET = -(2**15)
 
 
 class CongruenceStatus(enum.Enum):
@@ -81,7 +67,7 @@ def _sturm(level: dict[int, int]) -> int:
     return -(-index // 6)
 
 
-def _sturm_level(c1: CurveModel, c2: CurveModel, p: int, reduced: bool) -> tuple[int, int]:
+def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, int]:
     """(level, Sturm bound) for lcm(N1, N2, p^2), read off the bad-prime data.
 
     The reduced level drops multiplicative primes where the mod-p
@@ -89,48 +75,11 @@ def _sturm_level(c1: CurveModel, c2: CurveModel, p: int, reduced: bool) -> tuple
     discriminant, the Tate-curve criterion) and keeps everything else.
     """
     level = {p: 2}
-    for d in bad_reduction_data(c1) + bad_reduction_data(c2):
+    for d in (*bad1.values(), *bad2.values()):
         if reduced and d.ell != p and d.unramified_mod(p):
             continue
         level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
     return prod(ell**e for ell, e in level.items()), _sturm(level)
-
-
-def _compared_pair(d1, d2, p: int) -> tuple[int, int] | None:
-    """Trace values to compare at one prime, or None when the prime is skipped."""
-    good1 = d1.red_type is ReductionType.GOOD
-    good2 = d2.red_type is ReductionType.GOOD
-    if good1 and good2:
-        return d1.trace, d2.trace
-    if not good1 and not good2:
-        return None
-    good, bad = (d1, d2) if good1 else (d2, d1)
-    if bad.red_type.is_multiplicative:
-        # Compare against the Frobenius trace of the unramified semisimplified
-        # representation at a multiplicative prime: +-(ell + 1).
-        pair = (good.trace, bad.trace * (bad.ell + 1))
-    elif p == 3:
-        return None
-    else:
-        pair = (good.trace, 0)
-    return pair if good1 else (pair[1], pair[0])
-
-
-def _good_traces(tables, invs, i: int, ell: int) -> tuple[int, int]:
-    """Traces of both curves at ell = _PRIMES[i] >= 5, a good prime for both.
-
-    Traces already in the curves' tables are reused; the others are counted
-    together on one character table and stored at index i.
-    """
-    missing = [k for k, t in enumerate(tables) if len(t) <= i or t[i] == _UNSET]
-    if missing:
-        counts = _count_short_forms(ell, [_short_form(invs[k]) for k in missing])
-        for k, n in zip(missing, counts):
-            t = tables[k]
-            if len(t) <= i:
-                t.extend(array("h", [_UNSET]) * (i + 1 - len(t)))
-            t[i] = ell + 1 - n
-    return tables[0][i], tables[1][i]
 
 
 def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdict:
@@ -143,15 +92,16 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     """
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    bad1, bad2 = ({d.ell: d for d in bad_reduction_data(c)} for c in (c1, c2))
     notes = [
         "Verified certifies congruence of semisimplified mod-%d representations "
         "up to the stated bound; primes bad for both curves and ell = %d are skipped."
         % (p, p)
     ]
-    level, bound = _sturm_level(c1, c2, p, reduced=False)
+    level, bound = _sturm_level(bad1, bad2, p, reduced=False)
     complete = True
     if bound > _BOUND_CAP:
-        level, bound = _sturm_level(c1, c2, p, reduced=True)
+        level, bound = _sturm_level(bad1, bad2, p, reduced=True)
         notes.append(
             "Bound taken at the reduced level %d (multiplicative primes with "
             "p | v_ell(min disc) discarded) because the full level gives an "
@@ -174,42 +124,36 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
-    tables = None
+    traces = _good_traces((c1, c2), max_counting_prime())
     for i, ell in enumerate(_PRIMES[: bisect_right(_PRIMES, limit)]):
-        if ell == p:
+        d1, d2 = bad1.get(ell), bad2.get(ell)
+        if ell == p or d1 and d2:
             continue
-        if tables is None and ell >= 5:
-            # Set up the direct path only for scans that get past 2 and 3.
-            ceiling = max_counting_prime()
-            invs = invariants(c1), invariants(c2)
-            disc1, disc2 = invs[0].disc, invs[1].disc
-            tables = _TRACES[c1], _TRACES[c2]
-        # Good for both, so both models are already minimal at ell.
-        direct = ell >= 5 and disc1 % ell and disc2 % ell
         try:
-            if direct:
-                _check_ceiling(ell, ceiling)
-                pair = _good_traces(tables, invs, i, ell)
-            else:
-                d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
+            a1, a2 = traces(i, (d1 is None, d2 is None))
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))
             return CongruenceVerdict(
                 CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
             )
-        if not direct:
-            pair = _compared_pair(d1, d2, p)
-            if pair is None:
+        if d1 or d2:
+            bad = d1 or d2
+            if bad.red_type.is_multiplicative:
+                # Compare against the Frobenius trace of the unramified
+                # semisimplified representation at a multiplicative prime: +-(ell + 1).
+                b = bad.trace * (ell + 1)
+            elif p == 3:
                 continue
-            # Past the skip above, an additive entry here means the other curve is good.
-            additive = ReductionType.ADDITIVE in (d1.red_type, d2.red_type)
-            if structural is None and p >= 5 and additive:
-                structural = ell
+            else:
+                b = 0
+                if structural is None:
+                    structural = ell
+            a1, a2 = (b, a2) if d1 else (a1, b)
         checked += 1
-        if (pair[0] - pair[1]) % p != 0:
+        if (a1 - a2) % p != 0:
             notes.append("First mismatch at ell = %d." % ell)
             return CongruenceVerdict(
-                CongruenceStatus.FAILED, level, bound, checked, (ell, pair[0], pair[1]), " ".join(notes)
+                CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
             )
     if structural is not None:
         # Additive versus good forces a ramification mismatch of the mod-p

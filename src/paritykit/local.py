@@ -11,8 +11,15 @@ Computational Algebraic Number Theory", 7.4.3).
 _count_short_forms is the one counting kernel for ell >= 5.  It takes any
 number of short forms at one prime; below _BSGS_MIN_ELL they share one table
 of x, x^3 and the quadratic character mod ell.  count_points and tate_local
-call it with one curve; the Sturm scan in congruence.py calls it with both
-curves of a pair, on models that are good, hence minimal, at ell.
+call it with one curve.
+
+_good_traces serves the Sturm scan in congruence.py.  A model is minimal and
+good at a prime ell >= 5 that does not divide its discriminant, so its trace
+there is counted straight from the short form, with no primality proof,
+minimal model or Tate's algorithm, on one table shared by the curves that need
+a count, and kept in a compact table per curve (_TRACES) that later scans
+reuse.  Other good traces (ell <= 3, or a prime dividing a non-minimal model's
+discriminant) come from tate_local.
 """
 
 from __future__ import annotations
@@ -20,12 +27,14 @@ from __future__ import annotations
 import enum
 import math
 import os
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .arith import _valuation, factor, is_prime, jacobi
+from .arith import _PRIMES, _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
 from .weierstrass import (
     CurveModel,
@@ -41,6 +50,13 @@ _DEFAULT_MAX_ELL = 10**8
 # sum; the two cost the same, about 0.1 ms, near 5000 (timings in CHANGES.md).
 # Mestre's theorem bounds the walk only for ell > 229, so this must stay above.
 _BSGS_MIN_ELL = 5000
+
+# Sturm-scan traces per curve model, indexed like arith._PRIMES: entry i is
+# a_ell at ell = _PRIMES[i], or _UNSET where no scan has stored it.  A table
+# grows only as far as a scan has walked.  |a_ell| <= 2*sqrt(ell) < 512 below
+# 2^16, so int16 holds every trace, about 4.5 KB per curve at most.
+_TRACES: defaultdict[CurveModel, array] = defaultdict(partial(array, "h"))
+_UNSET = -(2**15)
 
 
 class ReductionType(enum.Enum):
@@ -448,6 +464,42 @@ def bad_reduction_data(c: CurveModel) -> list[LocalData]:
         raise ValueError("singular model: discriminant is zero")
     out = [tate_local(c, q) for q, _ in factor(disc)]
     return [d for d in out if d.red_type is not ReductionType.GOOD]
+
+
+def _good_traces(curves, ceiling: int):
+    """Trace reader for one Sturm scan over curves.
+
+    Returns traces(i, good): at ell = _PRIMES[i], the trace of each curve
+    flagged good (it must have good reduction at ell) and None for the others.
+    The counting ceiling is checked at every call, whether the traces are
+    stored or not, so a scan stops at the same prime whatever is cached.
+    """
+    rows = [(c, invariants(c), _TRACES[c]) for c in curves]
+
+    def traces(i: int, good) -> list:
+        ell = _PRIMES[i]
+        _check_ceiling(ell, ceiling)
+        out = [None] * len(rows)
+        missing = []
+        for k, (c, inv, table) in enumerate(rows):
+            if not good[k]:
+                continue
+            if ell < 5 or inv.disc % ell == 0:
+                out[k] = tate_local(c, ell).trace
+            elif i < len(table) and table[i] != _UNSET:
+                out[k] = table[i]
+            else:
+                missing.append(k)
+        if missing:
+            counts = _count_short_forms(ell, [_short_form(rows[k][1]) for k in missing])
+            for k, n in zip(missing, counts):
+                table = rows[k][2]
+                # pads up to index i; empty when the table already reaches it
+                table.extend(array("h", [_UNSET]) * (i + 1 - len(table)))
+                out[k] = table[i] = ell + 1 - n
+        return out
+
+    return traces
 
 
 def is_supersingular(c: CurveModel, p: int) -> bool:

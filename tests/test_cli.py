@@ -10,7 +10,6 @@ import pytest
 
 import paritykit
 from paritykit.cli import run
-from paritykit.local import tate_local
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -212,17 +211,12 @@ def test_scan_missing_file(capsys):
     capsys.readouterr()
 
 
-def test_limit_exit_code(capsys, monkeypatch):
+def test_limit_exit_code(capsys, monkeypatch, cold_caches):
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
-    tate_local.cache_clear()
-    try:
-        code = run(["analyze", "--e1", E69, "--e2", E897, "-p", "5"])
-        out = capsys.readouterr()
-        assert code == 3
-        assert "Inconclusive" in out.err
-    finally:
-        monkeypatch.undo()
-        tate_local.cache_clear()
+    code = run(["analyze", "--e1", E69, "--e2", E897, "-p", "5"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert "Inconclusive" in out.err
 
 
 def test_missing_subcommand_is_usage_error():

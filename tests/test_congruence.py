@@ -143,16 +143,11 @@ def test_rejects_bad_modulus():
             check_congruence(E69, E897, p)
 
 
-def test_ceiling_abort_is_inconclusive(monkeypatch):
+def test_ceiling_abort_is_inconclusive(monkeypatch, cold_caches):
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
-    tate_local.cache_clear()
-    try:
-        v = check_congruence(E69, E897, 5)
-        assert v.status is CongruenceStatus.INCONCLUSIVE
-        assert "aborted" in v.caveat
-    finally:
-        monkeypatch.undo()
-        tate_local.cache_clear()
+    v = check_congruence(E69, E897, 5)
+    assert v.status is CongruenceStatus.INCONCLUSIVE
+    assert "aborted" in v.caveat
 
 
 def test_family_members_congruent_to_base_mod_3():
@@ -298,21 +293,6 @@ def test_scan_matches_reference_rules(cold_caches):
     assert all(hits.values()), hits
 
 
-@pytest.fixture
-def cold_caches(monkeypatch):
-    """Empty every memo the scan fills: local data, trace tables, invariants, factorizations."""
-
-    def clear():
-        tate_local.cache_clear()
-        invariants.cache_clear()
-        paritykit.congruence._TRACES.clear()
-
-    monkeypatch.setattr(arith, "_factor_cache", {})
-    clear()
-    yield
-    clear()
-
-
 def patch_everywhere(monkeypatch, module, name, wrapper):
     """Replace module.name in every paritykit module that binds it."""
     original = getattr(module, name)
@@ -378,14 +358,14 @@ def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
     assert counted and max(args[0] for args in counted) == 17
     # the tables end at the witness: nothing was filled ahead
     for c in (E69, e2):
-        assert len(paritykit.congruence._TRACES[c]) == arith._PRIMES.index(17) + 1
+        assert len(local._TRACES[c]) == arith._PRIMES.index(17) + 1
 
 
 def test_stored_traces_match_tate_local(cold_caches):
     for c2 in (member(1, 3), member(1, 6)):
         check_congruence(E32, c2, 3)
-    for c, table in paritykit.congruence._TRACES.items():
-        stored = [(ell, a) for ell, a in zip(arith._PRIMES, table) if a != paritykit.congruence._UNSET]
+    for c, table in local._TRACES.items():
+        stored = [(ell, a) for ell, a in zip(arith._PRIMES, table) if a != local._UNSET]
         assert len(stored) > 10
         for ell, a in stored:
             assert a == tate_local(c, ell).trace, (c, ell)
@@ -405,19 +385,32 @@ def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
     assert counted == []
 
 
-def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
+# 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
+@pytest.mark.parametrize("ceiling, ell", [(5, 7), (12, 13)])
+def test_ceiling_aborts_at_the_same_prime_with_warm_tables(ceiling, ell, monkeypatch, cold_caches):
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
     cold = check_congruence(E69, E897, 5)
     monkeypatch.delenv("PARITYKIT_MAX_ELL")
     assert check_congruence(E69, E897, 5).status is CongruenceStatus.VERIFIED
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
     warm = check_congruence(E69, E897, 5)
     assert warm == cold
     assert warm.status is CongruenceStatus.INCONCLUSIVE
     assert warm.caveat.endswith(
-        "Scan aborted at 7: prime too large for point counting: 7 exceeds the "
-        "ceiling 5; raise PARITYKIT_MAX_ELL."
+        "Scan aborted at %d: prime too large for point counting: %d exceeds the "
+        "ceiling %d; raise PARITYKIT_MAX_ELL." % (ell, ell, ceiling)
     )
+
+
+def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch, cold_caches):
+    # 13 is multiplicative for 897d and good for 69a; the trace of 69a counted
+    # there is stored once and read back when 13 is good for both curves.
+    check_congruence(E69, E897, 5)
+    counted = []
+    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    assert check_congruence(E69, E69_NONMINIMAL, 5).status is CongruenceStatus.VERIFIED
+    at_13 = [form for ell, forms in counted if ell == 13 for form in forms]
+    assert at_13 == [local._short_form(invariants(E69_NONMINIMAL))]
 
 
 def test_scan_memory_stays_bounded(cold_caches):

@@ -374,7 +374,7 @@ def test_count_points_input_gates():
         count_points(E11, 11)
 
 
-def test_counting_ceiling(monkeypatch):
+def test_counting_ceiling(monkeypatch, cold_caches):
     assert max_counting_prime() == 10**8
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
     assert max_counting_prime() == 100
@@ -382,13 +382,9 @@ def test_counting_ceiling(monkeypatch):
         "prime too large for point counting: 101 exceeds the ceiling 100; "
         "raise PARITYKIT_MAX_ELL"
     )
-    tate_local.cache_clear()
-    try:
-        for probe in (count_points, tate_local, is_supersingular):
-            with pytest.raises(ComputationLimitError, match=message):
-                probe(E11, 101)
-    finally:
-        tate_local.cache_clear()
+    for probe in (count_points, tate_local, is_supersingular):
+        with pytest.raises(ComputationLimitError, match=message):
+            probe(E11, 101)
     assert count_points(E11, 97) > 0
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "4")
     with pytest.raises(ValueError):
