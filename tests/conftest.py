@@ -8,7 +8,10 @@ from paritykit.weierstrass import invariants
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty every memo the scan fills: local data, trace tables, invariants, factorizations."""
+    """Empty every memo the scan fills: local data, trace tables, invariants, factorizations.
+
+    The value is a function that empties all but the factorizations again.
+    """
 
     def clear():
         local.tate_local.cache_clear()
@@ -17,5 +20,5 @@ def cold_caches(monkeypatch):
 
     monkeypatch.setattr(arith, "_factor_cache", {})
     clear()
-    yield
+    yield clear
     clear()

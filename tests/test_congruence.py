@@ -385,21 +385,22 @@ def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
     assert counted == []
 
 
-# 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
-@pytest.mark.parametrize("ceiling, ell", [(5, 7), (12, 13)])
-def test_ceiling_aborts_at_the_same_prime_with_warm_tables(ceiling, ell, monkeypatch, cold_caches):
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-    cold = check_congruence(E69, E897, 5)
-    monkeypatch.delenv("PARITYKIT_MAX_ELL")
-    assert check_congruence(E69, E897, 5).status is CongruenceStatus.VERIFIED
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-    warm = check_congruence(E69, E897, 5)
-    assert warm == cold
-    assert warm.status is CongruenceStatus.INCONCLUSIVE
-    assert warm.caveat.endswith(
-        "Scan aborted at %d: prime too large for point counting: %d exceeds the "
-        "ceiling %d; raise PARITYKIT_MAX_ELL." % (ell, ell, ceiling)
-    )
+def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
+    # 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
+    for ceiling, ell in ((5, 7), (12, 13)):
+        cold_caches()
+        monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
+        cold = check_congruence(E69, E897, 5)
+        monkeypatch.delenv("PARITYKIT_MAX_ELL")
+        assert check_congruence(E69, E897, 5).status is CongruenceStatus.VERIFIED
+        monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
+        warm = check_congruence(E69, E897, 5)
+        assert warm == cold
+        assert warm.status is CongruenceStatus.INCONCLUSIVE
+        assert warm.caveat.endswith(
+            "Scan aborted at %d: prime too large for point counting: %d exceeds the "
+            "ceiling %d; raise PARITYKIT_MAX_ELL." % (ell, ell, ceiling)
+        )
 
 
 def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch, cold_caches):
