@@ -2,16 +2,18 @@
 
 Reduction types and conductor exponents come from Tate's algorithm run on a
 model minimal at the prime in question.  Traces at good primes are computed by
-exact point counting on the short Weierstrass form: exhaustive enumeration at
-2 and 3, a vectorised quadratic-character sum in O(ell) below _BSGS_MIN_ELL,
-and from there up Shanks-Mestre baby-step giant-step over the curve and its
-quadratic twist in O(ell^(1/4)) group operations (Cohen, "A Course in
-Computational Algebraic Number Theory", 7.4.3).
+exact point counting: exhaustive enumeration at 2 and 3, and from 5 up one of
+three methods per short form y^2 = x^3 + A*x + B.  B = 0 mod ell (j = 1728) has
+a closed-form trace, found in O(log ell) (Ireland-Rosen 18.4; Washington,
+"Elliptic Curves", 4.23).  Other forms take a vectorised quadratic-character
+sum in O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
+giant-step over the curve and its quadratic twist in O(ell^(1/4)) group
+operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3).
 
 _count_short_forms is the one counting kernel for ell >= 5.  It takes any
-number of short forms at one prime; below _BSGS_MIN_ELL they share one table
-of x, x^3 and the quadratic character mod ell.  count_points and tate_local
-call it with one curve.
+number of short forms at one prime; the character sums of one call share one
+table of x, x^3 and the quadratic character mod ell.  count_points and
+tate_local call it with one curve.
 
 _good_traces serves the Sturm scan in congruence.py.  A model is minimal and
 good at a prime ell >= 5 that does not divide its discriminant, so its trace
@@ -175,28 +177,66 @@ def _short_form(inv: Invariants) -> tuple[int, int]:
 
 def _count_short_forms(ell: int, forms) -> list[int]:
     # #E(F_ell) of y^2 = x^3 + A*x + B for each (A, B) in forms, at a prime
-    # ell >= 5 of good reduction for every form.  Below _BSGS_MIN_ELL the forms
-    # share one table: x, x^3 and the quadratic character chi mod ell are built
-    # once, and each form costs one gather and one sum,
-    # #E = ell + 1 + sum_x chi(x^3 + A*x + B).  Arrays hold a few thousand entries.
-    if ell >= _BSGS_MIN_ELL:
-        return [_within_hasse(_shanks_mestre(a % ell, b % ell, ell), ell) for a, b in forms]
+    # ell >= 5 of good reduction for every form.
+    table = None
+    counts = []
+    for a, b in forms:
+        a, b = a % ell, b % ell
+        if b == 0:
+            n = ell + 1 - _trace_j1728(a, ell)
+        elif ell >= _BSGS_MIN_ELL:
+            n = _shanks_mestre(a, b, ell)
+        else:
+            if table is None:
+                table = _character_table(ell)
+            n = _character_sum(table, a, b, ell)
+        counts.append(_within_hasse(n, ell))
+    return counts
+
+
+def _trace_j1728(a: int, ell: int) -> int:
+    # a_ell of y^2 = x^3 + a*x, a != 0 mod ell: 0 for ell = 3 mod 4, else
+    # chi*pi + conj(chi*pi) for ell = pi*conj(pi), pi = u + v*i primary (u odd,
+    # v even of either sign, u + v = 1 mod 4) and chi = conj((-a/pi)_4).  As
+    # Z[i]/pi = F_ell sends i to -u/v, e = (-a)^((ell-1)/4) = 1, -1, -u/v, u/v
+    # gives chi = 1, -1, -i, i.
+    if ell % 4 == 3:
+        return 0
+    c = next(c for c in range(2, ell) if pow(c, (ell - 1) // 2, ell) == ell - 1)
+    # Cornacchia: Euclid from a square root of -1 until the remainder < sqrt(ell)
+    r0, r1 = ell, pow(c, (ell - 1) // 4, ell)
+    while r1 * r1 > ell:
+        r0, r1 = r1, r0 % r1
+    u, v = r1, math.isqrt(ell - r1 * r1)
+    if v % 2:
+        u, v = v, u
+    if (u + v) % 4 != 1:
+        u = -u
+    e = pow(-a, (ell - 1) // 4, ell)
+    if e in (1, ell - 1):
+        return 2 * u if e == 1 else -2 * u
+    return -2 * v if e * v % ell == u % ell else 2 * v
+
+
+def _character_table(ell: int):
+    # x, x^3 (below ell^2, reduced with the rest of f) and chi mod ell
     x = np.arange(ell, dtype=np.int64)
     x2 = x * x % ell
     chi = np.empty(ell, dtype=np.int8)
     chi.fill(-1)
     chi[x2[: ell // 2 + 1]] = 1
     chi[0] = 0
-    x3 = x2 * x  # below ell^2: reduced once, with the rest of f
-    counts = []
-    for a, b in forms:
-        f = x * (a % ell)
-        f += x3
-        f += b % ell
-        f %= ell
-        total = int(np.add.reduce(chi.take(f), dtype=np.int64))
-        counts.append(_within_hasse(ell + 1 + total, ell))
-    return counts
+    return x, x2 * x, chi
+
+
+def _character_sum(table, a: int, b: int, ell: int) -> int:
+    # #E = ell + 1 + sum_x chi(x^3 + a*x + b): one gather and one sum.
+    x, x3, chi = table
+    f = x * a
+    f += x3
+    f += b
+    f %= ell
+    return ell + 1 + int(np.add.reduce(chi.take(f), dtype=np.int64))
 
 
 def _shanks_mestre(a: int, b: int, ell: int) -> int:
@@ -504,7 +544,7 @@ def _good_traces(curves, ceiling: int):
 
 def is_supersingular(c: CurveModel, p: int) -> bool:
     """True when a_p(E) = 0 exactly (the strict form, applied at every odd p)."""
-    if p == 2 or not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
     d = tate_local(c, p)
     if d.red_type is not ReductionType.GOOD:

@@ -199,7 +199,7 @@ def minimal_model_at(c: CurveModel, ell: int) -> CurveModel:
 
     Raises ValueError when ell is not a prime.
     """
-    if not isinstance(ell, int) or not is_prime(ell):
+    if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
         raise ValueError("%r is not a prime" % (ell,))
     inv = invariants(c)
     if inv.disc == 0:

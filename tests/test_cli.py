@@ -168,6 +168,12 @@ def test_local_info_good_prime(capsys):
     assert obj["local"][0]["trace"] == -6
 
 
+def test_local_info_rejects_non_prime(capsys):
+    for ell in ("-5", "1", "4"):
+        assert run(["local-info", "--curve", E69, "--ell", ell]) == 2
+        assert capsys.readouterr().err == "error: %s is not a prime\n" % ell
+
+
 def test_family_command(capsys):
     assert run(["family", "--D", "1", "--t", "207"]) == 0
     assert capsys.readouterr().out.strip() == E207

@@ -385,6 +385,27 @@ def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
     assert counted == []
 
 
+def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
+    # The base curve y^2 = x^3 - 7x has B = 0 in its short form, so its traces
+    # come from the j = 1728 formula.  The member's forms reach the character
+    # sum below the crossover and Shanks-Mestre above it, except at the few
+    # primes where their B vanishes too.
+    seen = []
+    for name in ("_shanks_mestre", "_character_sum"):
+        patch_everywhere(monkeypatch, local, name, recorder(seen))
+    base, other = base_curve(7), member(7, 3)
+    v = check_congruence(base, other, 3)
+    assert v.status is CongruenceStatus.VERIFIED
+    forms = [(args[-3], args[-2], args[-1]) for args in seen]
+    assert all(b % ell for _, b, ell in forms)
+    A, B = local._short_form(invariants(other))
+    general = {ell for a, b, ell in forms if (a, b) == (A % ell, B % ell)}
+    expected = {ell for ell in direct_primes(base, other, 3, v.bound) if B % ell}
+    assert general == expected
+    assert min(general) < local._BSGS_MIN_ELL <= max(general)
+    assert len(forms) == len(expected)
+
+
 def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
     # 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
     for ceiling, ell in ((5, 7), (12, 13)):

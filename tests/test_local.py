@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import paritykit
-from paritykit import local
+from paritykit import arith, local
 from paritykit.errors import ComputationLimitError
 from paritykit.local import (
     LocalData,
@@ -25,7 +25,7 @@ from paritykit.local import (
     max_counting_prime,
     tate_local,
 )
-from paritykit.weierstrass import CurveModel, discriminant, minimal_model_at
+from paritykit.weierstrass import CurveModel, discriminant, invariants, minimal_model_at
 
 E11 = CurveModel(0, -1, 1, -10, -20)
 E14 = CurveModel(1, 0, 1, 4, -6)
@@ -128,11 +128,26 @@ def primes_from(start, count):
     return out
 
 
-def check_against_oracle(A, B, ell):
+def general_count(A, B, ell):
+    """#E by the general path of the kernel: the character sum or Shanks-Mestre.
+
+    Forms with B = 0 mod ell take the j = 1728 formula inside the kernel, so
+    tests that use them as hard cases for the general counters call this too.
+    """
+    A, B = A % ell, B % ell
+    if ell >= local._BSGS_MIN_ELL:
+        return local._shanks_mestre(A, B, ell)
+    return local._character_sum(local._character_table(ell), A, B, ell)
+
+
+def check_against_oracle(A, B, ell, general=False):
     c = CurveModel(0, 0, 0, A, B)
     if (4 * A**3 + 27 * B**2) % ell == 0:
         return False
-    assert count_points(c, ell) == character_sum_count(A, B, ell), (A, B, ell)
+    expected = character_sum_count(A, B, ell)
+    assert count_points(c, ell) == expected, (A, B, ell)
+    if general:
+        assert general_count(A, B, ell) == expected, (A, B, ell)
     return True
 
 
@@ -150,6 +165,29 @@ def test_shared_table_kernel_matches_oracle():
         pairs = [local._count_short_forms(ell, forms[k : k + 2]) for k in range(0, len(forms), 2)]
         assert sum(pairs, []) == expected, ell
         assert local._count_short_forms(ell, forms[::-1]) == expected[::-1], ell
+        # the (A, 0) forms take the j = 1728 formula; the table path must still count them
+        for (A, B), n in zip(forms, expected):
+            assert general_count(A, B, ell) == n, (A, B, ell)
+
+
+def test_j1728_formula_matches_oracles():
+    # y^2 = x^3 + A*x for one A in each quartic residue class: against the
+    # character-sum oracle at every prime below the crossover, and against
+    # Shanks-Mestre at seeded primes up to 10^8, both residues mod 4.
+    for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
+        for A in power_classes(ell, 4):
+            assert ell + 1 - local._trace_j1728(A, ell) == character_sum_count(A, 0, ell), (A, ell)
+            assert local._count_short_forms(ell, [(A, 0)]) == [character_sum_count(A, 0, ell)]
+    rng = random.Random(233)
+    residues = []
+    for _ in range(300):
+        ell = rng.randrange(local._BSGS_MIN_ELL, 10**8)
+        while not arith.is_prime(ell):
+            ell += 1
+        A = rng.randrange(1, ell)
+        assert ell + 1 - local._trace_j1728(A, ell) == local._shanks_mestre(A, 0, ell), (A, ell)
+        residues.append(ell % 4)
+    assert residues.count(1) > 100 and residues.count(3) > 100
 
 
 def test_bsgs_crossover_respects_mestre_bound():
@@ -195,10 +233,10 @@ def test_count_points_oracle_j0_j1728():
         for B in power_classes(ell, 6):
             assert check_against_oracle(0, B, ell)
         for A in power_classes(ell, 4):
-            assert check_against_oracle(A, 0, ell)
+            assert check_against_oracle(A, 0, ell, general=True)
     # x^3 - x has three roots, so E(F_ell) contains Z/2 x Z/2
     for ell in primes_from(100000, 4):
-        assert check_against_oracle(-1, 0, ell)
+        assert check_against_oracle(-1, 0, ell, general=True)
 
 
 def test_count_points_oracle_hasse_endpoints():
@@ -216,7 +254,7 @@ def test_count_points_oracle_hasse_endpoints():
     ):
         traces = []
         for A, B in shapes:
-            assert check_against_oracle(A, B, ell)
+            assert check_against_oracle(A, B, ell, general=True)
             traces.append(ell + 1 - count_points(CurveModel(0, 0, 0, A, B), ell))
         assert max(abs(a) for a in traces) == math.isqrt(4 * ell), (ell, traces)
 
@@ -226,7 +264,7 @@ def test_count_points_oracle_trace_zero():
     # for j = 0 at ell = 2 mod 3
     for ell in primes_from(local._BSGS_MIN_ELL, 12) + primes_from(1500000, 12):
         if ell % 4 == 3:
-            assert check_against_oracle(-7, 0, ell)
+            assert check_against_oracle(-7, 0, ell, general=True)
             assert count_points(CurveModel(0, 0, 0, -7, 0), ell) == ell + 1
         if ell % 3 == 2:
             assert check_against_oracle(0, 5, ell)
@@ -335,13 +373,33 @@ def test_count_points_near_default_ceiling():
     assert u * u + v * v == ell
     odd = u if u % 2 else v
     assert abs(a) == 2 * odd
+    # That count took the j = 1728 formula.  Shanks-Mestre must give the same
+    # count in the same time, and count E11 (j != 1728) near the ceiling too.
+    start = time.perf_counter()
+    assert local._shanks_mestre(ell - 1, 0, ell) == n
+    assert time.perf_counter() - start < 1.0
+    A, B = (t % ell for t in local._short_form(invariants(E11)))
+    start = time.perf_counter()
+    n11 = count_points(E11, ell)
+    assert time.perf_counter() - start < 1.0
+    assert (ell + 1 - n11) ** 2 <= 4 * ell
+    for P in _points(A, B, ell, rng, 4):
+        assert _proj_mul(n11, P, A, ell)[2] == 0
+    twist_a, twist_b = A * g * g % ell, B * g**3 % ell
+    for Q in _points(twist_a, twist_b, ell, rng, 4):
+        assert _proj_mul(2 * ell + 2 - n11, Q, twist_a, ell)[2] == 0
+        assert _proj_mul(n11, Q, twist_a, ell)[2] != 0
 
 
 PEAK_RSS_KIB = """
 import os, resource, sys
-from paritykit.local import count_points
+from paritykit.local import _shanks_mestre, count_points
 from paritykit.weierstrass import CurveModel
 count_points(CurveModel(0, 0, 0, -1, 0), 4035637)
+# the count above takes the j = 1728 formula: also run the general counter
+# on the same shape and on E11
+_shanks_mestre(4035636, 0, 4035637)
+count_points(CurveModel(0, -1, 1, -10, -20), 4035637)
 # VmHWM is the peak of this process image alone; on Linux ru_maxrss also
 # counts the forking test process, which holds far more than 64 MB.
 if os.path.exists("/proc/self/status"):
@@ -368,8 +426,10 @@ def test_large_count_memory_stays_small():
 
 
 def test_count_points_input_gates():
-    with pytest.raises(ValueError, match="not a prime"):
-        count_points(E11, 10)
+    for probe in (count_points, tate_local):
+        for ell in (10, -5, 1):
+            with pytest.raises(ValueError, match="%d is not a prime" % ell):
+                probe(E11, ell)
     with pytest.raises(ValueError, match="tate_local"):
         count_points(E11, 11)
 
@@ -523,6 +583,9 @@ def test_supersingular_gates():
         is_supersingular(E11, 2)
     with pytest.raises(ValueError, match="odd prime"):
         is_supersingular(E11, 9)
+    for p in (-5, 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            is_supersingular(E11, p)
     with pytest.raises(ValueError, match="good prime"):
         is_supersingular(E11, 11)
 

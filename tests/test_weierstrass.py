@@ -184,5 +184,6 @@ def test_minimal_model_at_single_prime():
     assert inv.disc == discriminant(c) * 3**12
     assert minimal_model_at(at2, 3) == minimal_model(big)[0]
     assert minimal_model_at(c, 2) == c
-    with pytest.raises(ValueError, match="not a prime"):
-        minimal_model_at(c, 4)
+    for ell in (4, -5, 1):
+        with pytest.raises(ValueError, match="not a prime"):
+            minimal_model_at(c, ell)
