@@ -176,8 +176,9 @@ def test_j1728_formula_matches_oracles():
     # Shanks-Mestre at seeded primes up to 10^8, both residues mod 4.
     for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
         for A in power_classes(ell, 4):
-            assert ell + 1 - local._trace_j1728(A, ell) == character_sum_count(A, 0, ell), (A, ell)
-            assert local._count_short_forms(ell, [(A, 0)]) == [character_sum_count(A, 0, ell)]
+            expected = character_sum_count(A, 0, ell)
+            assert ell + 1 - local._trace_j1728(A, ell) == expected, (A, ell)
+            assert local._count_short_forms(ell, [(A, 0)]) == [expected], (A, ell)
     rng = random.Random(233)
     residues = []
     for _ in range(300):
@@ -374,7 +375,7 @@ def test_count_points_near_default_ceiling():
     odd = u if u % 2 else v
     assert abs(a) == 2 * odd
     # That count took the j = 1728 formula.  Shanks-Mestre must give the same
-    # count in the same time, and count E11 (j != 1728) near the ceiling too.
+    # count within the same time limit, and count E11 (j != 1728) there too.
     start = time.perf_counter()
     assert local._shanks_mestre(ell - 1, 0, ell) == n
     assert time.perf_counter() - start < 1.0
