@@ -8,6 +8,7 @@ Diagnostics go to stderr; reports go to stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 
@@ -327,6 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    # A CLI process serves one request, and what is alive at the first call is
+    # what importing numpy and paritykit left, with no cyclic garbage pending.
+    # Freezing it keeps the collections inside the request from walking it
+    # again.  Later calls in one process (tests) leave their garbage collectable.
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

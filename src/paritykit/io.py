@@ -35,8 +35,9 @@ class CurveRecord:
 
 
 def parse_curve_file(lines) -> list[CurveRecord]:
-    """Parse an iterable of lines into validated records, order preserved."""
+    """Parse an iterable of lines into validated records with unique labels, in order."""
     records = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(lines, 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -48,6 +49,9 @@ def parse_curve_file(lines) -> list[CurveRecord]:
                 % (lineno, text)
             )
         label, cond_text, curve_text, rank_text = m.groups()
+        first = first_line.setdefault(label, lineno)
+        if first != lineno:
+            raise ValueError("line %d (%s): duplicate label, first on line %d" % (lineno, label, first))
         try:
             curve = parse_curve(curve_text)
         except ValueError as exc:

@@ -9,6 +9,9 @@ a closed-form trace, found in O(log ell) (Ireland-Rosen 18.4; Washington,
 sum in O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
 giant-step over the curve and its quadratic twist in O(ell^(1/4)) group
 operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3).
+The walk keys its baby steps by x and matches each giant step against +-j*P,
+so s + 1 babies cover a stride of 2s + 1, and it centres the giant steps on
+multiples of the stride: about 40 group operations per point at ell = 7800.
 
 _count_short_forms is the one counting kernel for ell >= 5.  It takes any
 number of short forms at one prime; the character sums of one call share one
@@ -49,9 +52,10 @@ from .weierstrass import (
 
 _DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
-# sum; the two cost the same, about 0.1 ms, near 5000 (timings in CHANGES.md).
-# Mestre's theorem bounds the walk only for ell > 229, so this must stay above.
-_BSGS_MIN_ELL = 5000
+# sum; on one form of the workloads' curves the two cost about 35 us near 2500,
+# and the walk is 37 against 63 us at 5000 (timings in CHANGES.md).  Mestre's
+# theorem bounds the walk only for ell > 229, so this must stay above.
+_BSGS_MIN_ELL = 2500
 
 # Sturm-scan traces per curve model, indexed like arith._PRIMES: entry i is
 # a_ell at ell = _PRIMES[i], or _UNSET where no scan has stored it.  A table
@@ -254,7 +258,7 @@ def _shanks_mestre(a: int, b: int, ell: int) -> int:
             continue
         c2 = c * c % ell
         orders = _killing_orders((c * x0 % ell, c2), c2 * a % ell, ell, lo, hi)
-        if jacobi(c, ell) != 1:
+        if pow(c, (ell - 1) // 2, ell) != 1:
             orders = {2 * ell + 2 - n for n in orders}
         left = orders if left is None else left & orders
         if len(left) <= 1:
@@ -265,23 +269,33 @@ def _shanks_mestre(a: int, b: int, ell: int) -> int:
 
 
 def _killing_orders(pt: tuple[int, int], a: int, ell: int, lo: int, hi: int) -> set[int]:
-    # Every n in [lo, hi] with n*pt = O: baby steps j*pt for 0 <= j < s, giant
-    # steps (lo + i*s)*pt.  A point of small order matches many times.
-    s = math.isqrt(hi - lo) + 1
+    # Every n in [lo, hi] with n*pt = O.  Baby steps j*pt for 0 <= j <= s, keyed
+    # by x with O under None; giant centres c = m*(2s+1), whose c - s .. c + s
+    # tile [lo, hi].  A baby with the x of c*pt gives n = c - j when the y agree
+    # and n = c + j when they are opposite (both for y = 0 and for O).  So the
+    # only scalar multiplication is by m, near ell/(2s+1).
+    s = math.isqrt((hi - lo) // 2) + 1
     babies: dict = {}
     q = None
-    for j in range(s):
-        babies.setdefault(q, []).append(j)
-        q = _add(q, pt, a, ell)
-    step, q = q, _mul(lo, pt, a, ell)
+    for j in range(s + 1):
+        x, y = q or (None, None)
+        babies.setdefault(x, []).append((j, y))
+        last, q = q, _add(q, pt, a, ell)
+    width = 2 * s + 1
+    step = _add(q, last, a, ell)  # (s+1)*pt + s*pt
+    m = -((s - lo) // width)  # ceil((lo - s) / width)
+    q = _mul(m, step, a, ell)
     found = set()
-    for base in range(lo, hi + 1, s):
-        minus_q = None if q is None else (q[0], -q[1] % ell)
-        for j in babies.get(minus_q, ()):
-            if base + j <= hi:
-                found.add(base + j)
+    for c in range(m * width, hi + s + 1, width):
+        x, y = q or (None, None)
+        neg = None if q is None else -y % ell
+        for j, yj in babies.get(x, ()):
+            if yj == y:
+                found.add(c - j)
+            if yj == neg:
+                found.add(c + j)
         q = _add(q, step, a, ell)
-    return found
+    return {n for n in found if lo <= n <= hi}
 
 
 def _add(p, q, a: int, ell: int):

@@ -212,6 +212,17 @@ def test_scan_skips_ineligible(capsys):
         extra.unlink()
 
 
+def test_duplicate_labels_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "dup.curves"
+    path.write_text("a 69 [1,0,1,-1,-1] 0\na 897 [1,0,1,130884,-59725523] 1\n")
+    message = "error: line 2 (a): duplicate label, first on line 1\n"
+    assert run(["scan", "--file", str(path), "-p", "5"]) == 2
+    assert capsys.readouterr() == ("", message)
+    argv = ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--ranks-file", str(path)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_scan_missing_file(capsys):
     assert run(["scan", "--file", "/nonexistent/path.curves", "-p", "5"]) == 2
     capsys.readouterr()

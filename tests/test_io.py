@@ -72,6 +72,14 @@ def test_parse_rejects_conductor_mismatch():
         parse_curve_file(["69a 70 [1,0,1,-1,-1] 0"])
 
 
+def test_parse_rejects_duplicate_label():
+    lines = ["a ? [1,0,1,-1,-1] 0", "# comment", "b ? [0,0,1,-7,6] ?", "a ? [1,0,1,130884,-59725523] 1"]
+    with pytest.raises(ValueError, match=r"^line 4 \(a\): duplicate label, first on line 1$"):
+        parse_curve_file(lines)
+    # the same curve under a second label is fine
+    assert len(parse_curve_file(lines[:3] + ["c ? [1,0,1,-1,-1] 0"])) == 3
+
+
 def test_report_schema_shape():
     obj = report_object(make_report())
     assert list(obj) == [

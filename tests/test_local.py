@@ -128,6 +128,11 @@ def primes_from(start, count):
     return out
 
 
+# Tests that check every small prime against the O(ell) oracle run up to here,
+# wherever the Shanks-Mestre crossover sits below it.
+SMALL_PRIMES_END = max(5000, local._BSGS_MIN_ELL)
+
+
 def general_count(A, B, ell):
     """#E by the general path of the kernel: the character sum or Shanks-Mestre.
 
@@ -153,10 +158,10 @@ def check_against_oracle(A, B, ell, general=False):
 
 def test_shared_table_kernel_matches_oracle():
     # The character-sum kernel counts one or several curves per call on one
-    # table; every prime below the crossover, with random, j = 0 and j = 1728
-    # curves, alone and in pairs.
+    # table; every prime below the crossover and below 5000, with random,
+    # j = 0 and j = 1728 curves, alone and in pairs.
     rng = random.Random(229)
-    for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
+    for ell in (q for q in range(5, SMALL_PRIMES_END) if is_prime_naive(q)):
         forms = [(rng.randrange(ell), rng.randrange(ell)) for _ in range(2)]
         forms += [(0, rng.randrange(1, ell)), (rng.randrange(1, ell), 0)]
         forms = [(A, B) for A, B in forms if (4 * A**3 + 27 * B**2) % ell]
@@ -172,9 +177,9 @@ def test_shared_table_kernel_matches_oracle():
 
 def test_j1728_formula_matches_oracles():
     # y^2 = x^3 + A*x for one A in each quartic residue class: against the
-    # character-sum oracle at every prime below the crossover, and against
-    # Shanks-Mestre at seeded primes up to 10^8, both residues mod 4.
-    for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
+    # character-sum oracle at every prime below the crossover and below 5000,
+    # and against Shanks-Mestre at seeded primes up to 10^8, both residues mod 4.
+    for ell in (q for q in range(5, SMALL_PRIMES_END) if is_prime_naive(q)):
         for A in power_classes(ell, 4):
             expected = character_sum_count(A, 0, ell)
             assert ell + 1 - local._trace_j1728(A, ell) == expected, (A, ell)
@@ -344,6 +349,62 @@ def _points(a, b, q, rng, count):
             assert y * y % q == f
             out.append((x, y, 1))
     return out
+
+
+def _affine(P, q):
+    X, Y, Z = P
+    zi = pow(Z, -1, q)
+    return X * zi % q, Y * zi % q
+
+
+def _killing_set(pt, a, q, lo, hi):
+    """Every n in [lo, hi] with n*pt = O, one addition at a time."""
+    P = (*pt, 1)
+    out, Q = set(), _proj_mul(lo, P, a, q)
+    for n in range(lo, hi + 1):
+        if Q[2] % q == 0:
+            out.add(n)
+        Q = _proj_add(Q, P, a, q)
+    return out
+
+
+def _point_of_order(k, a, b, q, n, rng):
+    """A point of exact order k on y^2 = x^3 + a*x + b with n points, or None."""
+    for P in _points(a, b, q, rng, 20):
+        Q = _proj_mul(n // k, P, a, q)
+        if all(_proj_mul(k // r, Q, a, q)[2] % q for r in (2, 3, 5) if k % r == 0):
+            return _affine(Q, q)
+    return None
+
+
+def test_killing_orders_match_brute_force():
+    # The walk against a brute-force killing set, on the Hasse interval and on
+    # a narrower window.  Points of order 2 (y = 0) to 6 meet O among the baby
+    # steps and at giant centres; random points match with either sign.
+    rng = random.Random(239)
+    for q in primes_from(local._BSGS_MIN_ELL, 2) + primes_from(100000, 1) + primes_from(10**6, 1):
+        # y^2 = x^3 - x: three points of order 2
+        cases = [(q - 1, (x, 0)) for x in (0, 1, q - 1)]
+        orders = {2, 3, 4, 5, 6}
+        while orders:
+            a, b = rng.randrange(q), rng.randrange(1, q)
+            if (4 * a**3 + 27 * b * b) % q == 0:
+                continue
+            n = character_sum_count(a, b, q)
+            if len(cases) == 3:
+                cases += [(a, _affine(P, q)) for P in _points(a, b, q, rng, 3)]
+            for k in [k for k in orders if n % k == 0]:
+                pt = _point_of_order(k, a, b, q, n, rng)
+                if pt is not None:
+                    cases.append((a, pt))
+                    orders.remove(k)
+        r = math.isqrt(4 * q)
+        hasse = (q + 1 - r, q + 1 + r)
+        for lo, hi in (hasse, (q + 8 - r, q - 2 + r)):
+            for a, pt in cases:
+                expected = _killing_set(pt, a, q, lo, hi)
+                assert expected or (lo, hi) != hasse
+                assert local._killing_orders(pt, a, q, lo, hi) == expected, (q, a, pt, lo, hi)
 
 
 def test_count_points_near_default_ceiling():
