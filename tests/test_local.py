@@ -557,6 +557,62 @@ def test_frozen_split_assignments():
     assert tate_local(E11, 11).red_type is ReductionType.SPLIT_MULTIPLICATIVE
 
 
+def test_split_oracle_random_curves_at_2_and_3(cold_caches):
+    # Seeded random curves until each of 2 and 3 has 2000 multiplicative
+    # reductions.  The projective count of the reduction of the minimal model
+    # is ell when split and ell + 2 when nonsplit.
+    rng = random.Random(241)
+    seen = {2: {True: 0, False: 0}, 3: {True: 0, False: 0}}
+    while min(sum(by_split.values()) for by_split in seen.values()) < 2000:
+        c = CurveModel(*(rng.randrange(-60, 61) for _ in range(5)))
+        disc = discriminant(c)
+        for ell, by_split in seen.items():
+            if disc == 0 or disc % ell:
+                continue
+            d = tate_local(c, ell)
+            if not d.red_type.is_multiplicative:
+                continue
+            split = d.red_type is ReductionType.SPLIT_MULTIPLICATIVE
+            projective = brute_count(minimal_model_at(c, ell), ell)
+            assert projective == (ell if split else ell + 2), (c, ell)
+            assert d.trace == (1 if split else -1)
+            by_split[split] += 1
+    assert all(min(by_split.values()) > 500 for by_split in seen.values()), seen
+
+
+def twist(c, d):
+    """The quadratic twist by d of c, as y^2 = x^3 - 27*d^2*c4*x - 54*d^3*c6."""
+    inv = invariants(c)
+    return CurveModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
+
+
+def test_additive_types_at_large_primes():
+    # Every Kodaira symbol of additive reduction at ell >= 5, where the
+    # conductor exponent is 2, and Ogg's formula v(min disc) = f + m - 1 with
+    # m the number of components of the special fibre of the Neron model.
+    components = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+    components.update({"I3*": 8, "I4*": 9, "I5*": 10})
+    cases = []
+    for ell in (5, 7, 11, 13):
+        for k, kodaira in ((1, "II"), (2, "IV"), (4, "IV*"), (5, "II*")):
+            cases.append((CurveModel(0, 0, 0, 0, ell**k), ell, kodaira))
+        for k, kodaira in ((1, "III"), (3, "III*")):
+            cases.append((CurveModel(0, 0, 0, ell**k, 0), ell, kodaira))
+        cases.append((CurveModel(0, 0, 0, ell**2, ell**3), ell, "I0*"))
+    # a twist by ell of a curve with multiplicative reduction I_n at ell is I_n*
+    cases += [(twist(E14, 7), 7, "I3*"), (twist(E15, 5), 5, "I4*"), (twist(E11, 11), 11, "I5*")]
+    for c, ell, kodaira in cases:
+        d = tate_local(c, ell)
+        assert (d.red_type, d.kodaira, d.cond_exp, d.trace) == (
+            ReductionType.ADDITIVE,
+            kodaira,
+            2,
+            0,
+        ), (c, ell)
+        assert d.v_disc == d.cond_exp + components[kodaira] - 1, (c, ell)
+    assert {k for _, _, k in cases} == set(components)
+
+
 def test_additive_types():
     d27 = tate_local(E27, 3)
     assert (d27.red_type, d27.kodaira, d27.cond_exp, d27.v_disc) == (
