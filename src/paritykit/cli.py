@@ -60,15 +60,12 @@ def _print_text_report(report, out) -> None:
     out.write("E2 = %s  (%s, N = %d)\n" % (c2, report.labels[1], conductor(c2)))
     out.write("p = %d\n" % report.p)
     v = report.congruence
-    if v is not None:
-        out.write(
-            "congruence: %s (level %s, Sturm bound %s, %d primes compared)\n"
-            % (v.status, v.level, v.bound, v.checked_primes)
-        )
-        if v.witness is not None:
-            out.write("  witness: ell = %d, traces %d vs %d\n" % v.witness)
-    else:
-        out.write("congruence: assumed by caller\n")
+    out.write(
+        "congruence: %s (level %s, Sturm bound %s, %d primes compared)\n"
+        % (v.status, v.level, v.bound, v.checked_primes)
+    )
+    if v.witness is not None:
+        out.write("  witness: ell = %d, traces %d vs %d\n" % v.witness)
     out.write("sigma  = %s\n" % _fmt_set(report.sigma_data.sigma))
     out.write("sigma0 = %s\n" % _fmt_set(report.sigma_data.sigma0))
     for ell in report.sigma_data.sigma0:
@@ -132,6 +129,8 @@ def _cmd_analyze(args) -> int:
                         rank2 = rec.rank
     if args.rank2_bound is not None and rank2 is not None:
         raise ValueError("--rank2-bound only applies when the rank of E2 is unknown")
+    if args.rank2_bound is not None and rank1 is None:
+        raise ValueError("--rank2-bound needs the rank of E1: pass --rank1 or a --ranks-file entry")
     verdict = check_congruence(c1, c2, p)
     print("congruence verdict: %s" % verdict.caveat, file=sys.stderr)
     if verdict.status is not CongruenceStatus.VERIFIED and not args.assume_congruent:

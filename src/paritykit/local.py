@@ -1,10 +1,12 @@
 """Local data at a prime: reduction type, conductor exponent, traces, Euler factors.
 
 Reduction types and conductor exponents come from Tate's algorithm run on a
-model minimal at the prime in question.  Traces at good primes are computed by
-exact point counting: exhaustive enumeration at 2 and 3, and from 5 up one of
-three methods per short form y^2 = x^3 + A*x + B.  B = 0 mod ell (j = 1728) has
-a closed-form trace, found in O(log ell) (Ireland-Rosen 18.4; Washington,
+model minimal at the prime in question; split and nonsplit multiplicative
+reduction are told apart by the Tate-curve criterion at every prime.  Traces
+at good primes are computed by exact point counting in one kernel,
+_count_good: exhaustive enumeration at 2 and 3, and from 5 up one of three
+methods per short form y^2 = x^3 + A*x + B.  B = 0 mod ell (j = 1728) has a
+closed-form trace, found in O(log ell) (Ireland-Rosen 18.4; Washington,
 "Elliptic Curves", 4.23).  Other forms take a vectorised quadratic-character
 sum in O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
 giant-step over the curve and its quadratic twist in O(ell^(1/4)) group
@@ -12,19 +14,16 @@ operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3).
 The walk keys its baby steps by x and matches each giant step against +-j*P,
 so s + 1 babies cover a stride of 2s + 1, and it centres the giant steps on
 multiples of the stride: about 40 group operations per point at ell = 7800.
-
-_count_short_forms is the one counting kernel for ell >= 5.  It takes any
-number of short forms at one prime; the character sums of one call share one
-table of x, x^3 and the quadratic character mod ell.  count_points and
-tate_local call it with one curve.
+The kernel takes any number of curves at one prime; the character sums of one
+call share one table of x, x^3 and the quadratic character mod ell.
+count_points and tate_local call it with one curve.
 
 _good_traces serves the Sturm scan in congruence.py.  A model is minimal and
-good at a prime ell >= 5 that does not divide its discriminant, so its trace
-there is counted straight from the short form, with no primality proof,
-minimal model or Tate's algorithm, on one table shared by the curves that need
-a count, and kept in a compact table per curve (_TRACES) that later scans
-reuse.  Other good traces (ell <= 3, or a prime dividing a non-minimal model's
-discriminant) come from tate_local.
+good at a prime that does not divide its discriminant, so its trace there is
+counted straight from the model, with no primality proof, minimal model or
+Tate's algorithm, in one kernel call shared by the curves that need a count,
+and kept in a compact table per curve (_TRACES) that later scans reuse.  Only
+a good prime dividing a non-minimal model's discriminant goes to tate_local.
 """
 
 from __future__ import annotations
@@ -149,28 +148,10 @@ def count_points(c: CurveModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity; requires good reduction at ell."""
     m = minimal_model_at(c, ell)  # rejects an ell that is not prime
     _check_ceiling(ell, max_counting_prime())
-    if invariants(m).disc % ell == 0:
+    inv = invariants(m)
+    if inv.disc % ell == 0:
         raise ValueError("bad reduction at %d; use tate_local for local data" % ell)
-    return _count_points_good(m, ell)
-
-
-def _count_points_good(m: CurveModel, ell: int) -> int:
-    if ell > 3:
-        return _count_short_forms(ell, [_short_form(invariants(m))])[0]
-    n = 1
-    for x in range(ell):
-        rhs = (x**3 + m.a2 * x * x + m.a4 * x + m.a6) % ell
-        for y in range(ell):
-            if (y * y + m.a1 * x * y + m.a3 * y - rhs) % ell == 0:
-                n += 1
-    return _within_hasse(n, ell)
-
-
-def _within_hasse(n: int, ell: int) -> int:
-    a = ell + 1 - n
-    if a * a > 4 * ell:
-        raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
-    return n
+    return _count_good(ell, [(m, inv)])[0]
 
 
 def _short_form(inv: Invariants) -> tuple[int, int]:
@@ -179,22 +160,34 @@ def _short_form(inv: Invariants) -> tuple[int, int]:
     return -27 * inv.c4, -54 * inv.c6
 
 
-def _count_short_forms(ell: int, forms) -> list[int]:
-    # #E(F_ell) of y^2 = x^3 + A*x + B for each (A, B) in forms, at a prime
-    # ell >= 5 of good reduction for every form.
+def _count_good(ell: int, curves) -> list[int]:
+    # #E(F_ell) for each (model, invariants) pair in curves, the model good at
+    # the prime ell.  At 2 and 3 every point is counted; from 5 up the short
+    # form takes the j = 1728 formula, the character sum or Shanks-Mestre, and
+    # the character sums of one call share one table.
     table = None
     counts = []
-    for a, b in forms:
-        a, b = a % ell, b % ell
-        if b == 0:
-            n = ell + 1 - _trace_j1728(a, ell)
-        elif ell >= _BSGS_MIN_ELL:
-            n = _shanks_mestre(a, b, ell)
+    for m, inv in curves:
+        if ell < 5:
+            n = 1 + sum(
+                (y * y + m.a1 * x * y + m.a3 * y - x**3 - m.a2 * x * x - m.a4 * x - m.a6) % ell == 0
+                for x in range(ell)
+                for y in range(ell)
+            )
         else:
-            if table is None:
-                table = _character_table(ell)
-            n = _character_sum(table, a, b, ell)
-        counts.append(_within_hasse(n, ell))
+            a, b = _short_form(inv)
+            a, b = a % ell, b % ell
+            if b == 0:
+                n = ell + 1 - _trace_j1728(a, ell)
+            elif ell >= _BSGS_MIN_ELL:
+                n = _shanks_mestre(a, b, ell)
+            else:
+                if table is None:
+                    table = _character_table(ell)
+                n = _character_sum(table, a, b, ell)
+        if (ell + 1 - n) ** 2 > 4 * ell:
+            raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
+        counts.append(n)
     return counts
 
 
@@ -349,36 +342,19 @@ def _quad_separable(qa: int, qb: int, qc: int, p: int) -> bool:
     return (qb * qb - 4 * qa * qc) % p != 0
 
 
-def _is_split_small(m: CurveModel, p: int) -> bool:
-    # Tangent cone at the node: y^2 + a1*xy - a2*x^2 after moving the node to 0.
-    x0, y0 = _singular_point(m, p)
-    c = transform(m, Isomorphism.of(1, x0, 0, y0))
-    roots = _quad_roots(1, c.a1, -c.a2, p)
-    if len(roots) == 1:
-        raise ArithmeticError("tangent cone degenerate at %d (internal error)" % p)
-    return len(roots) == 2
+# Kodaira symbol of additive reduction at ell >= 5 by v_ell(min disc), for
+# every type but I_n*, which has v_ell(c4) = 2 and v_ell(min disc) = n + 6
+# (Tate's algorithm; Silverman, "Advanced Topics in the Arithmetic of
+# Elliptic Curves", IV.9).
+_KODAIRA = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
 
 
-def _additive_type_large(m: CurveModel, ell: int, n: int) -> str:
-    inv = invariants(m)
-    v4 = _valuation(inv.c4, ell)
-    if n == 2:
-        return "II"
-    if n == 3:
-        return "III"
-    if n == 4:
-        return "IV"
-    if n == 6:
-        return "I0*"
-    if v4 == 2 and n >= 7:
+def _additive_type_large(inv: Invariants, ell: int, n: int) -> str:
+    if n >= 7 and _valuation(inv.c4, ell) == 2:
         return "I%d*" % (n - 6)
-    if n == 8:
-        return "IV*"
-    if n == 9:
-        return "III*"
-    if n == 10:
-        return "II*"
-    raise ArithmeticError("impossible additive valuation %d at %d (internal error)" % (n, ell))
+    if n not in _KODAIRA:
+        raise ArithmeticError("impossible additive valuation %d at %d (internal error)" % (n, ell))
+    return _KODAIRA[n]
 
 
 def _normalize_depths(c: CurveModel, p: int) -> CurveModel:
@@ -488,17 +464,17 @@ def tate_local(c: CurveModel, ell: int) -> LocalData:
     n = _valuation(inv.disc, ell)
     if n == 0:
         _check_ceiling(ell, max_counting_prime())
-        trace = ell + 1 - _count_points_good(m, ell)
+        trace = ell + 1 - _count_good(ell, [(m, inv)])[0]
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:
-        if ell >= 5:
-            split = jacobi((-inv.c6) % ell, ell) == 1
-        else:
-            split = _is_split_small(m, ell)
+        # Tate-curve criterion: split iff -c6 is a square in Q_ell (Silverman,
+        # "Advanced Topics", V.5.3; c4 and c6 are units here and c4 a square),
+        # which at ell = 2 is -c6 = 1 (mod 8).
+        split = -inv.c6 % 8 == 1 if ell == 2 else jacobi(-inv.c6, ell) == 1
         red = ReductionType.SPLIT_MULTIPLICATIVE if split else ReductionType.NONSPLIT_MULTIPLICATIVE
         return LocalData(ell, red, 1, n, 1 if split else -1, "I%d" % n)
     if ell >= 5:
-        kodaira, f = _additive_type_large(m, ell, n), 2
+        kodaira, f = _additive_type_large(inv, ell, n), 2
     else:
         kodaira, f = _additive_type_small(m, ell, n)
     if f < 2:
@@ -538,14 +514,14 @@ def _good_traces(curves, ceiling: int):
         for k, (c, inv, table) in enumerate(rows):
             if not good[k]:
                 continue
-            if ell < 5 or inv.disc % ell == 0:
+            if inv.disc % ell == 0:
                 out[k] = tate_local(c, ell).trace
             elif i < len(table) and table[i] != _UNSET:
                 out[k] = table[i]
             else:
                 missing.append(k)
         if missing:
-            counts = _count_short_forms(ell, [_short_form(rows[k][1]) for k in missing])
+            counts = _count_good(ell, [rows[k][:2] for k in missing])
             for k, n in zip(missing, counts):
                 table = rows[k][2]
                 # pads up to index i; empty when the table already reaches it

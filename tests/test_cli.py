@@ -83,6 +83,42 @@ def test_analyze_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_rank2_bound_needs_the_rank_of_e1(tmp_path, capsys):
+    message = "error: --rank2-bound needs the rank of E1: pass --rank1 or a --ranks-file entry\n"
+    argv = ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--rank2-bound", "3"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    ranks = tmp_path / "ranks.curves"
+    ranks.write_text("69a 69 [1,0,1,-1,-1] ?\n897d 897 [1,0,1,130884,-59725523] ?\n")
+    assert run([*argv, "--ranks-file", str(ranks)]) == 2
+    assert capsys.readouterr() == ("", message)
+    # with the rank of E1 from the file the bound is used
+    ranks.write_text("69a 69 [1,0,1,-1,-1] 0\n897d 897 [1,0,1,130884,-59725523] ?\n")
+    assert run([*argv, "--ranks-file", str(ranks)]) == 0
+    assert "deduced rank of e2: parity odd, candidates {1, 3}\n" in capsys.readouterr().out
+
+
+def test_ranks_file_matches_a_curve_by_its_minimal_model(capsys):
+    # 69a scaled by u = 7 is not in the file, but its minimal model is
+    e69_scaled = "[7,0,343,-2401,-117649]"
+    argv = ["analyze", "--e1", e69_scaled, "--e2", E897, "-p", "5", "--json"]
+    assert run([*argv, "--ranks-file", str(DATA / "congruent_pair.curves")]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [c["label"] for c in obj["curves"]] == ["69a", "897d"]
+    assert obj["ranks"]["known"] == {"e1": 0, "e2": 1}
+
+
+def test_analyze_assume_congruent_on_a_failed_pair(capsys):
+    # 14a is supersingular at 5 but not congruent to 69a: the report goes on
+    # under the caller's assertion and names the witness.
+    code = run(["analyze", "--e1", E69, "--e2", "[1,0,1,4,-6]", "-p", "5", "--assume-congruent"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert "congruence: Failed (level 24150, Sturm bound 11520, 1 primes compared)\n" in out.out
+    assert "  witness: ell = 2, traces 1 vs -3\n" in out.out
+    assert "Proceeding anyway because the caller asserted the congruence." in out.out
+
+
 @pytest.mark.parametrize(
     "ranks",
     [["--rank1", "-1", "--rank2", "1"], ["--rank1", "-1"], ["--rank1", "0", "--rank2-bound", "-1"]],
@@ -210,6 +246,27 @@ def test_scan_skips_ineligible(capsys):
         assert len(json.loads(out.out)) == 1
     finally:
         extra.unlink()
+
+
+def test_scan_skips_bad_records_and_unverified_pairs_and_flags_violations(tmp_path, capsys):
+    # 15a is bad at 5; 14a is supersingular at 5 but congruent to neither
+    # other curve; 69a and 897d with ranks 0 and 0 violate the relation.
+    path = tmp_path / "scan.curves"
+    path.write_text(
+        "69a 69 [1,0,1,-1,-1] 0\n"
+        "14a 14 [1,0,1,4,-6] 0\n"
+        "15a 15 [1,1,1,-10,-10] 0\n"
+        "897d 897 [1,0,1,130884,-59725523] 0\n"
+    )
+    assert run(["scan", "--file", str(path), "-p", "5"]) == 1
+    out = capsys.readouterr()
+    assert out.err == (
+        "skipping 15a: p must be a good prime\n"
+        "69a / 14a: congruence Failed\n"
+        "14a / 897d: congruence Failed\n"
+    )
+    assert out.out.count("congruence: Verified") == 1
+    assert "relation: r1 + |S1| = 1, r2 + |S2| = 0 (mod 2) -> VIOLATED\n" in out.out
 
 
 def test_duplicate_labels_are_usage_errors(tmp_path, capsys):

@@ -350,7 +350,7 @@ def test_nonminimal_model_bad_discriminant_prime_uses_tate(cold_caches):
 
 def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
     counted = []
-    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     e2 = CurveModel(1, 0, 1, 33, -53)
     v = check_congruence(E69, e2, 5)
     assert v.status is CongruenceStatus.FAILED
@@ -371,9 +371,26 @@ def test_stored_traces_match_tate_local(cold_caches):
             assert a == tate_local(c, ell).trace, (c, ell)
 
 
+def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch, cold_caches):
+    # 11a and 37a are good at 2 and 3: the scan counts both there with the
+    # one kernel, stores the traces, and runs Tate's algorithm only at the
+    # primes dividing a discriminant.
+    e11, e37 = CurveModel(0, -1, 1, -10, -20), CurveModel(0, 0, 1, -1, 0)
+    counted = []
+    patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
+    v = check_congruence(e11, e37, 5)
+    assert v.witness == (3, -1, -3)
+    assert [(args[0], len(args[1])) for args in counted] == [(2, 2), (3, 2)]
+    # one entry each, at 11 and at 37
+    assert tate_local.cache_info().currsize == 2
+    for c, traces in ((e11, [-2, -1]), (e37, [-2, -3])):
+        assert list(local._TRACES[c]) == traces
+        assert traces == [tate_local(c, ell).trace for ell in (2, 3)]
+
+
 def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
     counted = []
-    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     first = check_congruence(E32, member(1, 3), 3)
     assert {len(args[1]) for args in counted} == {2}
     counted.clear()
@@ -429,10 +446,10 @@ def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch, cold
     # there is stored once and read back when 13 is good for both curves.
     check_congruence(E69, E897, 5)
     counted = []
-    patch_everywhere(monkeypatch, local, "_count_short_forms", recorder(counted))
+    patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     assert check_congruence(E69, E69_NONMINIMAL, 5).status is CongruenceStatus.VERIFIED
     at_13 = [form for ell, forms in counted if ell == 13 for form in forms]
-    assert at_13 == [local._short_form(invariants(E69_NONMINIMAL))]
+    assert at_13 == [(E69_NONMINIMAL, invariants(E69_NONMINIMAL))]
 
 
 def test_scan_memory_stays_bounded(cold_caches):
@@ -447,6 +464,6 @@ def test_scan_memory_stays_bounded(cold_caches):
         tracemalloc.stop()
     assert v.status is CongruenceStatus.VERIFIED
     assert retained < 64 * 1024, retained
-    # Local data is memoized only at primes <= 3 and primes dividing a
-    # discriminant: {2, 3} and {3, 13, 23} for each of the two curves.
-    assert tate_local.cache_info().currsize <= 2 * len({2, 3, 13, 23})
+    # Local data is memoized only at primes dividing a discriminant: {3, 23}
+    # for 69a and {3, 13, 23} for 897d.
+    assert tate_local.cache_info().currsize <= 5
