@@ -601,7 +601,7 @@ def test_additive_types_at_large_primes():
     # conductor exponent is 2, and Ogg's formula v(min disc) = f + m - 1 with
     # m the number of components of the special fibre of the Neron model.
     components = {"II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
-    components.update({"I3*": 8, "I4*": 9, "I5*": 10})
+    components |= {"I3*": 8, "I4*": 9, "I5*": 10}  # I_n* has n + 5
     cases = []
     for ell in (5, 7, 11, 13):
         for k, kodaira in ((1, "II"), (2, "IV"), (4, "IV*"), (5, "II*")):
