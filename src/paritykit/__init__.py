@@ -13,6 +13,7 @@ from .errors import ComputationLimitError
 from .family import base_curve, member
 from .io import CurveRecord, emit_curve_file, emit_report, parse_curve_file, report_object
 from .local import (
+    CurveData,
     EulerPoly,
     LocalData,
     ReductionType,
@@ -54,6 +55,7 @@ __all__ = [
     "CongruenceStatus",
     "CongruenceVerdict",
     "ComputationLimitError",
+    "CurveData",
     "CurveModel",
     "CurveRecord",
     "DeducedRank",

@@ -17,8 +17,8 @@ from .congruence import CongruenceStatus, check_congruence
 from .errors import ComputationLimitError
 from .family import member
 from .io import emit_json, emit_report, parse_curve_file, report_object, verdict_object
-from .local import bad_reduction_data, conductor, is_supersingular, tate_local
-from .parity import deduce_rank, parity_relation
+from .local import CurveData, is_supersingular, tate_local
+from .parity import _gate, deduce_rank, parity_relation
 from .weierstrass import minimal_model, parse_curve
 
 EXIT_OK = 0
@@ -55,9 +55,8 @@ def _fmt_set(values) -> str:
 
 
 def _print_text_report(report, out) -> None:
-    c1, c2 = report.curves
-    out.write("E1 = %s  (%s, N = %d)\n" % (c1, report.labels[0], conductor(c1)))
-    out.write("E2 = %s  (%s, N = %d)\n" % (c2, report.labels[1], conductor(c2)))
+    for name, c, label, n in zip(("E1", "E2"), report.curves, report.labels, report.conductors):
+        out.write("%s = %s  (%s, N = %d)\n" % (name, c, label, n))
     out.write("p = %d\n" % report.p)
     v = report.congruence
     out.write(
@@ -131,7 +130,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError("--rank2-bound only applies when the rank of E2 is unknown")
     if args.rank2_bound is not None and rank1 is None:
         raise ValueError("--rank2-bound needs the rank of E1: pass --rank1 or a --ranks-file entry")
-    verdict = check_congruence(c1, c2, p)
+    e1, e2 = CurveData(c1), CurveData(c2)
+    _gate(e1, e2, p)
+    verdict = check_congruence(e1, e2, p)
     print("congruence verdict: %s" % verdict.caveat, file=sys.stderr)
     if verdict.status is not CongruenceStatus.VERIFIED and not args.assume_congruent:
         if verdict.witness is not None:
@@ -143,16 +144,8 @@ def _cmd_analyze(args) -> int:
             return EXIT_VIOLATED
         print("congruence Inconclusive; rerun with --assume-congruent to proceed", file=sys.stderr)
         return EXIT_LIMIT
-    report = parity_relation(
-        c1,
-        c2,
-        p,
-        rank1=rank1,
-        rank2=rank2,
-        verdict=verdict,
-        assume_congruent=args.assume_congruent,
-        labels=tuple(labels),
-    )
+    report = parity_relation(e1, e2, p, rank1=rank1, rank2=rank2, verdict=verdict,
+                             assume_congruent=args.assume_congruent, labels=tuple(labels))
     try:
         _deduce(report, args.rank2_bound)
     except ValueError as exc:
@@ -203,8 +196,8 @@ def _cmd_local_info(args) -> int:
         rows = [tate_local(c, args.ell)]
         n = None
     else:
-        rows = bad_reduction_data(c)
-        n = conductor(c)
+        data = CurveData(c)
+        rows, n = list(data.bad.values()), data.conductor
     if args.json:
         obj = {"curve": c.coefficients(), "conductor": n, "local": [_local_row(d) for d in rows]}
         sys.stdout.write(emit_json(obj))
@@ -235,33 +228,27 @@ def _cmd_scan(args) -> int:
         records = parse_curve_file(fh)
     eligible = []
     for rec in records:
+        data = CurveData(rec.curve)
         try:
-            ok = is_supersingular(rec.curve, p)
+            ok = is_supersingular(data, p)
         except ValueError as exc:
             print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
             continue
         if ok:
-            eligible.append(rec)
+            eligible.append((rec, data))
         else:
             print("skipping %s: not supersingular at %d" % (rec.label, p), file=sys.stderr)
     pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]
     code = EXIT_OK
     emitted = []
-    for a, b in pairs:
+    for (a, da), (b, db) in pairs:
         try:
-            verdict = check_congruence(a.curve, b.curve, p)
+            verdict = check_congruence(da, db, p)
             if verdict.status is not CongruenceStatus.VERIFIED:
                 print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
                 continue
-            report = parity_relation(
-                a.curve,
-                b.curve,
-                p,
-                rank1=a.rank,
-                rank2=b.rank,
-                verdict=verdict,
-                labels=(a.label, b.label),
-            )
+            report = parity_relation(da, db, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
+                                     labels=(a.label, b.label))
             _deduce(report, None)
         except (ComputationLimitError, ValueError) as exc:
             print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)

@@ -11,8 +11,10 @@ type at ell, read off its bad-prime data: ell = p and primes bad for both
 curves are skipped; at a prime bad for one curve the good trace is compared
 with +-(ell + 1) at a multiplicative prime and with 0 at an additive one
 (skipped at p = 3); at a prime good for both the two traces are compared.
-Good traces come from local._good_traces, which keeps them per curve and
-checks the counting ceiling, read once per call, at every prime it serves.
+Each curve is read through a local.CurveData, built here for a bare model; a
+caller that passes its own keeps the bad primes and every trace counted for
+later steps of the run.  local._good_traces checks the counting ceiling, read
+once per call, at every prime it serves.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import prod
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
-from .local import _good_traces, bad_reduction_data, max_counting_prime
+from .local import CurveData, _good_traces, max_counting_prime
 from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
@@ -82,7 +84,7 @@ def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, in
     return prod(ell**e for ell, e in level.items()), _sturm(level)
 
 
-def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdict:
+def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> CongruenceVerdict:
     """Compare a_ell(E1) and a_ell(E2) mod p for all primes up to a Sturm bound.
 
     The bound is taken at level lcm(N1, N2, p^2) when that is small enough to
@@ -92,7 +94,8 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     """
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    bad1, bad2 = ({d.ell: d for d in bad_reduction_data(c)} for c in (c1, c2))
+    e1, e2 = CurveData.of(c1), CurveData.of(c2)
+    bad1, bad2 = e1.bad, e2.bad
     notes = [
         "Verified certifies congruence of semisimplified mod-%d representations "
         "up to the stated bound; primes bad for both curves and ell = %d are skipped."
@@ -124,13 +127,13 @@ def check_congruence(c1: CurveModel, c2: CurveModel, p: int) -> CongruenceVerdic
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
-    traces = _good_traces((c1, c2), max_counting_prime())
-    for i, ell in enumerate(_PRIMES[: bisect_right(_PRIMES, limit)]):
+    ceiling = max_counting_prime()
+    for ell in _PRIMES[: bisect_right(_PRIMES, limit)]:
         d1, d2 = bad1.get(ell), bad2.get(ell)
         if ell == p or d1 and d2:
             continue
         try:
-            a1, a2 = traces(i, (d1 is None, d2 is None))
+            a1, a2 = _good_traces(ell, (None if d1 else e1, None if d2 else e2), ceiling)
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))
             return CongruenceVerdict(

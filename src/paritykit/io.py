@@ -128,8 +128,8 @@ def report_object(r: ParityReport) -> dict:
     return {
         "schema_version": "1",
         "curves": [
-            {"label": r.labels[0], "coefficients": c1.coefficients(), "conductor": conductor(c1)},
-            {"label": r.labels[1], "coefficients": c2.coefficients(), "conductor": conductor(c2)},
+            {"label": r.labels[0], "coefficients": c1.coefficients(), "conductor": r.conductors[0]},
+            {"label": r.labels[1], "coefficients": c2.coefficients(), "conductor": r.conductors[1]},
         ],
         "p": r.p,
         "congruence": None if r.congruence is None else verdict_object(r.congruence),

@@ -18,12 +18,14 @@ The kernel takes any number of curves at one prime; the character sums of one
 call share one table of x, x^3 and the quadratic character mod ell.
 count_points and tate_local call it with one curve.
 
-_good_traces serves the Sturm scan in congruence.py.  A model is minimal and
-good at a prime that does not divide its discriminant, so its trace there is
-counted straight from the model, with no primality proof, minimal model or
-Tate's algorithm, in one kernel call shared by the curves that need a count,
-and kept in a compact table per curve (_TRACES) that later scans reuse.  Only
-a good prime dividing a non-minimal model's discriminant goes to tate_local.
+CurveData holds one curve's local data for one run: the bad-prime data,
+factored on first use, the conductor, and a dict of the good traces counted so
+far, which the Sturm scan in congruence.py and local() share.  A model is
+minimal and good at a prime that does not divide its discriminant, so the scan
+counts its trace there straight from the model, with no primality proof,
+minimal model or Tate's algorithm, in one kernel call shared by the curves
+that need a count.  Nothing outlives the CurveData: tate_local is plain
+Tate's algorithm and keeps no memo.
 """
 
 from __future__ import annotations
@@ -31,14 +33,11 @@ from __future__ import annotations
 import enum
 import math
 import os
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 
-from .arith import _PRIMES, _valuation, factor, is_prime, jacobi
+from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
 from .weierstrass import (
     CurveModel,
@@ -55,13 +54,6 @@ _DEFAULT_MAX_ELL = 10**8
 # and the walk is 37 against 63 us at 5000 (timings in CHANGES.md).  Mestre's
 # theorem bounds the walk only for ell > 229, so this must stay above.
 _BSGS_MIN_ELL = 2500
-
-# Sturm-scan traces per curve model, indexed like arith._PRIMES: entry i is
-# a_ell at ell = _PRIMES[i], or _UNSET where no scan has stored it.  A table
-# grows only as far as a scan has walked.  |a_ell| <= 2*sqrt(ell) < 512 below
-# 2^16, so int16 holds every trace, about 4.5 KB per curve at most.
-_TRACES: defaultdict[CurveModel, array] = defaultdict(partial(array, "h"))
-_UNSET = -(2**15)
 
 
 class ReductionType(enum.Enum):
@@ -456,7 +448,6 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
     raise ArithmeticError("model not minimal at %d after reduction (internal error)" % p)
 
 
-@lru_cache(maxsize=None)
 def tate_local(c: CurveModel, ell: int) -> LocalData:
     """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
     m = minimal_model_at(c, ell)  # rejects an ell that is not prime
@@ -482,61 +473,80 @@ def tate_local(c: CurveModel, ell: int) -> LocalData:
     return LocalData(ell, ReductionType.ADDITIVE, f, n, 0, kodaira)
 
 
+class CurveData:
+    """Local data of one curve for one run, each piece computed at most once.
+
+    bad maps each prime of bad reduction, ascending, to its LocalData; the
+    discriminant is factored on first use.  traces maps ell to a_ell at the
+    good primes seen so far, whether counted by the Sturm scan or by local().
+    """
+
+    def __init__(self, model: CurveModel) -> None:
+        self.model = model
+        self.inv = invariants(model)
+        if self.inv.disc == 0:
+            raise ValueError("singular model: discriminant is zero")
+        self.traces: dict[int, int] = {}
+        self._bad: dict[int, LocalData] | None = None
+
+    @staticmethod
+    def of(c: CurveModel | CurveData) -> CurveData:
+        return c if isinstance(c, CurveData) else CurveData(c)
+
+    @property
+    def bad(self) -> dict[int, LocalData]:
+        if self._bad is None:
+            data = [self.local(q) for q, _ in factor(self.inv.disc)]
+            self._bad = {d.ell: d for d in data if d.red_type is not ReductionType.GOOD}
+        return self._bad
+
+    @property
+    def conductor(self) -> int:
+        return math.prod(ell**d.cond_exp for ell, d in self.bad.items())
+
+    def local(self, ell: int) -> LocalData:
+        """tate_local at ell, served from the traces and bad-prime data when known."""
+        if ell in self.traces:
+            return LocalData(ell, ReductionType.GOOD, 0, 0, self.traces[ell], "I0")
+        if self._bad is not None and ell in self._bad:
+            return self._bad[ell]
+        d = tate_local(self.model, ell)
+        if d.red_type is ReductionType.GOOD:
+            self.traces[ell] = d.trace
+        return d
+
+
 def conductor(c: CurveModel) -> int:
     """Product over bad primes of ell^cond_exp."""
-    return math.prod(d.ell**d.cond_exp for d in bad_reduction_data(c))
+    return CurveData(c).conductor
 
 
 def bad_reduction_data(c: CurveModel) -> list[LocalData]:
     """LocalData at every prime of bad reduction, ascending."""
-    disc = invariants(c).disc
-    if disc == 0:
-        raise ValueError("singular model: discriminant is zero")
-    out = [tate_local(c, q) for q, _ in factor(disc)]
-    return [d for d in out if d.red_type is not ReductionType.GOOD]
+    return list(CurveData(c).bad.values())
 
 
-def _good_traces(curves, ceiling: int):
-    """Trace reader for one Sturm scan over curves.
+def _good_traces(ell: int, curves, ceiling: int) -> list:
+    """a_ell of each CurveData in curves (None passed through), counting in one call what is not stored.
 
-    Returns traces(i, good): at ell = _PRIMES[i], the trace of each curve
-    flagged good (it must have good reduction at ell) and None for the others.
-    The counting ceiling is checked at every call, whether the traces are
-    stored or not, so a scan stops at the same prime whatever is cached.
+    Each must be good at ell with its bad data built, which stores the trace at
+    a good prime dividing its discriminant.  The ceiling is checked even when
+    every trace is stored, so a scan stops at the same prime cold or warm.
     """
-    rows = [(c, invariants(c), _TRACES[c]) for c in curves]
-
-    def traces(i: int, good) -> list:
-        ell = _PRIMES[i]
-        _check_ceiling(ell, ceiling)
-        out = [None] * len(rows)
-        missing = []
-        for k, (c, inv, table) in enumerate(rows):
-            if not good[k]:
-                continue
-            if inv.disc % ell == 0:
-                out[k] = tate_local(c, ell).trace
-            elif i < len(table) and table[i] != _UNSET:
-                out[k] = table[i]
-            else:
-                missing.append(k)
-        if missing:
-            counts = _count_good(ell, [rows[k][:2] for k in missing])
-            for k, n in zip(missing, counts):
-                table = rows[k][2]
-                # pads up to index i; empty when the table already reaches it
-                table.extend(array("h", [_UNSET]) * (i + 1 - len(table)))
-                out[k] = table[i] = ell + 1 - n
-        return out
-
-    return traces
+    _check_ceiling(ell, ceiling)
+    missing = [d for d in curves if d is not None and ell not in d.traces]
+    if missing:
+        counts = _count_good(ell, [(d.model, d.inv) for d in missing])
+        for d, n in zip(missing, counts):
+            d.traces[ell] = ell + 1 - n
+    return [None if d is None else d.traces[ell] for d in curves]
 
 
-def is_supersingular(c: CurveModel, p: int) -> bool:
+def is_supersingular(c: CurveModel | CurveData, p: int) -> bool:
     """True when a_p(E) = 0 exactly (the strict form, applied at every odd p)."""
     if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    d = tate_local(c, p)
+    d = CurveData.of(c).local(p)
     if d.red_type is not ReductionType.GOOD:
         raise ValueError("p must be a good prime")
     return d.trace == 0

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import CongruenceStatus, CongruenceVerdict
-from .local import (
-    LocalData,
-    ReductionType,
-    bad_reduction_data,
-    euler_poly,
-    is_supersingular,
-    tate_local,
-)
+from .local import CurveData, LocalData, ReductionType, euler_poly, is_supersingular
 from .weierstrass import CurveModel
 
 
@@ -70,6 +63,7 @@ class DeducedRank:
 @dataclass
 class ParityReport:
     curves: tuple[CurveModel, CurveModel]
+    conductors: tuple[int, int]
     p: int
     sigma_data: SigmaData
     tau1: tuple[TauRecord, ...]
@@ -95,23 +89,23 @@ _RULE_TATE = "multiplicative with p | v_ell(min disc): the mod-p representation 
 _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces the drop"
 
 
-def _gate(c1: CurveModel, c2: CurveModel, p: int) -> None:
+def _gate(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> None:
     for name, c in (("E1", c1), ("E2", c2)):
         if not is_supersingular(c, p):
             raise ValueError("%s is not supersingular at %d (a_p must be 0)" % (name, p))
 
 
-def compute_sigma0(c1: CurveModel, c2: CurveModel, p: int) -> SigmaData:
+def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> SigmaData:
     """sigma = {p} + bad primes of either curve; sigma0 = conductor-drop primes."""
-    _gate(c1, c2, p)
-    support = {d.ell for c in (c1, c2) for d in bad_reduction_data(c)}
-    sigma = tuple(sorted(support | {p}))
+    e1, e2 = CurveData.of(c1), CurveData.of(c2)
+    _gate(e1, e2, p)
+    sigma = tuple(sorted({*e1.bad, *e2.bad, p}))
     evidence: dict[int, DropEvidence] = {}
     sigma0 = []
     for ell in sigma:
         if ell == p:
             continue
-        d1, d2 = tate_local(c1, ell), tate_local(c2, ell)
+        d1, d2 = e1.local(ell), e2.local(ell)
         reasons: tuple[list[str], list[str]] = ([], [])
         warnings: list[str] = []
         undetermined = False
@@ -200,13 +194,14 @@ def _describe_case(d: LocalData, p: int, t: int) -> str:
     return "%s multiplicative, 1/ell is not a root mod %d" % (kind, p)
 
 
-def s_set(c: CurveModel, sigma0, p: int) -> frozenset[int]:
+def s_set(c: CurveModel | CurveData, sigma0, p: int) -> frozenset[int]:
     """Primes of sigma0 where the local multiplicity parity is odd.
 
     Callers are expected to pass a curve supersingular at p and a sigma0 that
     never contains p.
     """
-    return frozenset(ell for ell in sigma0 if tau(tate_local(c, ell), p).delta_parity == 1)
+    e = CurveData.of(c)
+    return frozenset(ell for ell in sigma0 if tau(e.local(ell), p).delta_parity == 1)
 
 
 def deduce_rank(known_rank: int, s1_size: int, s2_size: int, target_bound: int | None = None) -> DeducedRank:
@@ -227,8 +222,8 @@ def deduce_rank(known_rank: int, s1_size: int, s2_size: int, target_bound: int |
 
 
 def parity_relation(
-    c1: CurveModel,
-    c2: CurveModel,
+    c1: CurveModel | CurveData,
+    c2: CurveModel | CurveData,
     p: int,
     rank1: int | None = None,
     rank2: int | None = None,
@@ -247,12 +242,14 @@ def parity_relation(
             "congruence verdict is %s, not Verified; set assume_congruent=True to proceed anyway"
             % verdict.status
         )
-    sigma_data = compute_sigma0(c1, c2, p)
+    e1, e2 = CurveData.of(c1), CurveData.of(c2)
+    sigma_data = compute_sigma0(e1, e2, p)
     others = [ell for ell in sigma_data.sigma if ell != p]
-    tau1 = tuple(tau(tate_local(c1, ell), p) for ell in others)
-    tau2 = tuple(tau(tate_local(c2, ell), p) for ell in others)
-    s1 = s_set(c1, sigma_data.sigma0, p)
-    s2 = s_set(c2, sigma_data.sigma0, p)
+    tau1 = tuple(tau(e1.local(ell), p) for ell in others)
+    tau2 = tuple(tau(e2.local(ell), p) for ell in others)
+    # sigma0 lies in others, so S1 and S2 are read off tau1 and tau2
+    sigma0 = set(sigma_data.sigma0)
+    s1, s2 = (frozenset(r.ell for r in rs if r.ell in sigma0 and r.delta_parity) for rs in (tau1, tau2))
     relation_holds = None
     if rank1 is not None and rank2 is not None:
         relation_holds = (rank1 + len(s1)) % 2 == (rank2 + len(s2)) % 2
@@ -286,7 +283,8 @@ def parity_relation(
             Hypothesis("external_ranks", "Rank values are supplied by the caller, not computed.")
         )
     return ParityReport(
-        curves=(c1, c2),
+        curves=(e1.model, e2.model),
+        conductors=(e1.conductor, e2.conductor),
         p=p,
         sigma_data=sigma_data,
         tau1=tau1,

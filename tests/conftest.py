@@ -2,21 +2,21 @@
 
 import pytest
 
-from paritykit import arith, local
+from paritykit import arith
 from paritykit.weierstrass import invariants
 
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty every memo the scan fills: local data, trace tables, invariants, factorizations.
+    """Empty the process-lifetime memos: invariants and factorizations.
 
     The value is a function that empties all but the factorizations again.
+    Local data and traces live in the CurveData objects that each call
+    builds or is given, so no memo of them is left to empty.
     """
 
     def clear():
-        local.tate_local.cache_clear()
         invariants.cache_clear()
-        local._TRACES.clear()
 
     monkeypatch.setattr(arith, "_factor_cache", {})
     clear()

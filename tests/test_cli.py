@@ -67,10 +67,25 @@ def test_analyze_detects_violation(capsys):
 
 
 def test_analyze_noncongruent_pair_fails(capsys):
-    code = run(["analyze", "--e1", E69, "--e2", E32, "-p", "5"])
+    # 14a is supersingular at 5, like 69a, but not congruent to it
+    code = run(["analyze", "--e1", E69, "--e2", "[1,0,1,4,-6]", "-p", "5"])
     out = capsys.readouterr()
     assert code == 1
     assert "congruence Failed" in out.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--assume-congruent"]])
+def test_analyze_gates_supersingularity_before_the_scan(extra, capsys, monkeypatch):
+    # a_5(11a) = 1: the pair is refused before any congruence scan
+    def refuse(*args):
+        raise AssertionError("check_congruence called")
+
+    monkeypatch.setattr(paritykit.cli, "check_congruence", refuse)
+    e11, e37 = "[0,-1,1,-10,-20]", "[0,0,1,-1,0]"
+    assert run(["analyze", "--e1", e11, "--e2", e37, "-p", "5", *extra]) == 2
+    assert capsys.readouterr() == ("", "error: E1 is not supersingular at 5 (a_p must be 0)\n")
+    assert run(["analyze", "--e1", E69, "--e2", E32, "-p", "5", *extra]) == 2
+    assert capsys.readouterr() == ("", "error: E2 is not supersingular at 5 (a_p must be 0)\n")
 
 
 def test_analyze_usage_errors(capsys):

@@ -1,6 +1,7 @@
 """Congruence verification and Sturm bounds."""
 
 import gc
+import pathlib
 import random
 import sys
 import tracemalloc
@@ -18,9 +19,10 @@ from paritykit.congruence import (
     sturm_bound,
 )
 from paritykit.family import base_curve, member
-from paritykit.local import ReductionType, conductor, count_points, tate_local
+from paritykit.local import CurveData, ReductionType, conductor, count_points, tate_local
 from paritykit.weierstrass import CurveModel, discriminant, invariants
 
+DATA = pathlib.Path(__file__).parent / "data"
 E32 = CurveModel(0, 0, 0, -1, 0)
 E69 = CurveModel(1, 0, 1, -1, -1)
 E897 = CurveModel(1, 0, 1, 130884, -59725523)
@@ -351,24 +353,24 @@ def test_nonminimal_model_bad_discriminant_prime_uses_tate(cold_caches):
 def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
-    e2 = CurveModel(1, 0, 1, 33, -53)
-    v = check_congruence(E69, e2, 5)
+    data = CurveData(E69), CurveData(CurveModel(1, 0, 1, 33, -53))
+    v = check_congruence(*data, 5)
     assert v.status is CongruenceStatus.FAILED
     assert v.witness == (17, 4, -3)
     assert counted and max(args[0] for args in counted) == 17
-    # the tables end at the witness: nothing was filled ahead
-    for c in (E69, e2):
-        assert len(local._TRACES[c]) == arith._PRIMES.index(17) + 1
+    # the trace stores end at the witness: nothing was filled ahead
+    for d in data:
+        assert max(d.traces) == 17
 
 
 def test_stored_traces_match_tate_local(cold_caches):
-    for c2 in (member(1, 3), member(1, 6)):
-        check_congruence(E32, c2, 3)
-    for c, table in local._TRACES.items():
-        stored = [(ell, a) for ell, a in zip(arith._PRIMES, table) if a != local._UNSET]
-        assert len(stored) > 10
-        for ell, a in stored:
-            assert a == tate_local(c, ell).trace, (c, ell)
+    data = [CurveData(c) for c in (E32, member(1, 3), member(1, 6))]
+    for d2 in data[1:]:
+        check_congruence(data[0], d2, 3)
+    for d in data:
+        assert len(d.traces) > 10
+        for ell, a in d.traces.items():
+            assert a == tate_local(d.model, ell).trace, (d.model, ell)
 
 
 def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch, cold_caches):
@@ -376,30 +378,50 @@ def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch, cold_cach
     # one kernel, stores the traces, and runs Tate's algorithm only at the
     # primes dividing a discriminant.
     e11, e37 = CurveModel(0, -1, 1, -10, -20), CurveModel(0, 0, 1, -1, 0)
-    counted = []
+    data = CurveData(e11), CurveData(e37)
+    counted, tate = [], []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
-    v = check_congruence(e11, e37, 5)
+    patch_everywhere(monkeypatch, local, "tate_local", recorder(tate))
+    v = check_congruence(*data, 5)
     assert v.witness == (3, -1, -3)
     assert [(args[0], len(args[1])) for args in counted] == [(2, 2), (3, 2)]
-    # one entry each, at 11 and at 37
-    assert tate_local.cache_info().currsize == 2
-    for c, traces in ((e11, [-2, -1]), (e37, [-2, -3])):
-        assert list(local._TRACES[c]) == traces
-        assert traces == [tate_local(c, ell).trace for ell in (2, 3)]
+    # Tate's algorithm ran once each, at 11 and at 37
+    assert tate == [(e11, 11), (e37, 37)]
+    for d, traces in zip(data, ([-2, -1], [-2, -3])):
+        assert d.traces == dict(zip((2, 3), traces))
+        assert traces == [tate_local(d.model, ell).trace for ell in (2, 3)]
 
 
 def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
-    first = check_congruence(E32, member(1, 3), 3)
+    e32, m3, m6 = (CurveData(c) for c in (E32, member(1, 3), member(1, 6)))
+    first = check_congruence(e32, m3, 3)
     assert {len(args[1]) for args in counted} == {2}
     counted.clear()
-    second = check_congruence(E32, member(1, 6), 3)
+    second = check_congruence(e32, m6, 3)
     assert {len(args[1]) for args in counted} == {1}
     counted.clear()
-    assert check_congruence(E32, member(1, 3), 3) == first
-    assert check_congruence(member(1, 6), E32, 3).checked_primes == second.checked_primes
+    assert check_congruence(e32, m3, 3) == first
+    assert check_congruence(m6, e32, 3).checked_primes == second.checked_primes
     assert counted == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
+     "-p", "5", "--rank1", "0", "--rank2", "1"],
+    ["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3", "--json"],
+])
+def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys, cold_caches):
+    # The scan, the supersingularity gate at p and sigma0 read one trace
+    # store per curve, so no (model, ell) is counted twice.
+    counted = []
+    patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
+    assert run(argv) == 0
+    capsys.readouterr()
+    keys = [(m, ell) for ell, curves in counted for m, _ in curves]
+    assert len(keys) > 100
+    assert len(keys) == len(set(keys))
 
 
 def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
@@ -425,14 +447,17 @@ def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
 
 def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
     # 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
+    # The warm run reuses the CurveData objects that the full scan filled.
     for ceiling, ell in ((5, 7), (12, 13)):
         cold_caches()
+        data = CurveData(E69), CurveData(E897)
         monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-        cold = check_congruence(E69, E897, 5)
+        cold = check_congruence(*data, 5)
         monkeypatch.delenv("PARITYKIT_MAX_ELL")
-        assert check_congruence(E69, E897, 5).status is CongruenceStatus.VERIFIED
+        assert check_congruence(*data, 5).status is CongruenceStatus.VERIFIED
+        assert all(len(d.traces) > 800 for d in data)
         monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-        warm = check_congruence(E69, E897, 5)
+        warm = check_congruence(*data, 5)
         assert warm == cold
         assert warm.status is CongruenceStatus.INCONCLUSIVE
         assert warm.caveat.endswith(
@@ -444,26 +469,38 @@ def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_cac
 def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch, cold_caches):
     # 13 is multiplicative for 897d and good for 69a; the trace of 69a counted
     # there is stored once and read back when 13 is good for both curves.
-    check_congruence(E69, E897, 5)
+    e69 = CurveData(E69)
+    check_congruence(e69, E897, 5)
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
-    assert check_congruence(E69, E69_NONMINIMAL, 5).status is CongruenceStatus.VERIFIED
+    assert check_congruence(e69, E69_NONMINIMAL, 5).status is CongruenceStatus.VERIFIED
     at_13 = [form for ell, forms in counted if ell == 13 for form in forms]
     assert at_13 == [(E69_NONMINIMAL, invariants(E69_NONMINIMAL))]
 
 
-def test_scan_memory_stays_bounded(cold_caches):
+def retained_by(call):
+    """(result, bytes still allocated after call returns)."""
     tracemalloc.start()
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        v = check_congruence(E69, E897, 5)
+        result = call()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def test_scan_memory_stays_bounded(cold_caches):
+    v, retained = retained_by(lambda: check_congruence(E69, E897, 5))
     assert v.status is CongruenceStatus.VERIFIED
     assert retained < 64 * 1024, retained
-    # Local data is memoized only at primes dividing a discriminant: {3, 23}
-    # for 69a and {3, 13, 23} for 897d.
-    assert tate_local.cache_info().currsize <= 5
+    # Passed in, the CurveData objects keep one trace per good prime scanned
+    # and bad-prime data only at primes dividing a discriminant: {3, 23} for
+    # 69a and {3, 13, 23} for 897d.
+    data = CurveData(E69), CurveData(E897)
+    v, retained = retained_by(lambda: check_congruence(*data, 5))
+    scanned = [ell for ell in arith._PRIMES if ell <= v.bound and ell != 5]
+    assert [sorted(d.traces) for d in data] == [[ell for ell in scanned if ell not in d.bad] for d in data]
+    assert [sorted(d.bad) for d in data] == [[3, 23], [3, 13, 23]]
+    assert retained < 64 * 1024 * len(data), retained
