@@ -18,7 +18,7 @@ from .errors import ComputationLimitError
 from .family import member
 from .io import emit_json, emit_report, parse_curve_file, report_object, verdict_object
 from .local import CurveData, is_supersingular, tate_local
-from .parity import _gate, deduce_rank, parity_relation
+from .parity import check_supersingular_pair, deduce_rank, parity_relation
 from .weierstrass import minimal_model, parse_curve
 
 EXIT_OK = 0
@@ -112,8 +112,9 @@ def _deduce(report, bound: int | None) -> None:
 def _cmd_analyze(args) -> int:
     p = _odd_prime(args.p)
     c1, c2 = parse_curve(args.e1), parse_curve(args.e2)
-    rank1, rank2 = args.rank1, args.rank2
+    ranks = [args.rank1, args.rank2]
     labels = ["E1", "E2"]
+    data = [None, None]
     if args.ranks_file:
         with open(args.ranks_file, encoding="utf-8") as fh:
             records = parse_curve_file(fh)
@@ -121,17 +122,17 @@ def _cmd_analyze(args) -> int:
             rec = _match_rank(records, c)
             if rec is not None:
                 labels[i] = rec.label
-                if (rank1, rank2)[i] is None:
-                    if i == 0:
-                        rank1 = rec.rank
-                    else:
-                        rank2 = rec.rank
+                if rec.curve == c:
+                    data[i] = rec.data
+                if ranks[i] is None:
+                    ranks[i] = rec.rank
+    rank1, rank2 = ranks
     if args.rank2_bound is not None and rank2 is not None:
         raise ValueError("--rank2-bound only applies when the rank of E2 is unknown")
     if args.rank2_bound is not None and rank1 is None:
         raise ValueError("--rank2-bound needs the rank of E1: pass --rank1 or a --ranks-file entry")
-    e1, e2 = CurveData(c1), CurveData(c2)
-    _gate(e1, e2, p)
+    e1, e2 = (CurveData(c) if d is None else d for d, c in zip(data, (c1, c2)))
+    check_supersingular_pair(e1, e2, p)
     verdict = check_congruence(e1, e2, p)
     print("congruence verdict: %s" % verdict.caveat, file=sys.stderr)
     if verdict.status is not CongruenceStatus.VERIFIED and not args.assume_congruent:
@@ -228,26 +229,25 @@ def _cmd_scan(args) -> int:
         records = parse_curve_file(fh)
     eligible = []
     for rec in records:
-        data = CurveData(rec.curve)
         try:
-            ok = is_supersingular(data, p)
+            ok = is_supersingular(rec.data, p)
         except ValueError as exc:
             print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
             continue
         if ok:
-            eligible.append((rec, data))
+            eligible.append(rec)
         else:
             print("skipping %s: not supersingular at %d" % (rec.label, p), file=sys.stderr)
     pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]
     code = EXIT_OK
     emitted = []
-    for (a, da), (b, db) in pairs:
+    for a, b in pairs:
         try:
-            verdict = check_congruence(da, db, p)
+            verdict = check_congruence(a.data, b.data, p)
             if verdict.status is not CongruenceStatus.VERIFIED:
                 print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
                 continue
-            report = parity_relation(da, db, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
+            report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
                                      labels=(a.label, b.label))
             _deduce(report, None)
         except (ComputationLimitError, ValueError) as exc:

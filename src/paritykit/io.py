@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .congruence import CongruenceVerdict
-from .local import conductor
+from .local import CurveData
 from .parity import ParityReport
 from .weierstrass import CurveModel, discriminant, parse_curve
 
@@ -32,6 +33,10 @@ class CurveRecord:
     curve: CurveModel
     conductor: int | None
     rank: int | None
+
+    @cached_property
+    def data(self) -> CurveData:
+        return CurveData(self.curve)
 
 
 def parse_curve_file(lines) -> list[CurveRecord]:
@@ -59,15 +64,13 @@ def parse_curve_file(lines) -> list[CurveRecord]:
         if discriminant(curve) == 0:
             raise ValueError("line %d (%s): curve is singular" % (lineno, label))
         cond = None if cond_text == "?" else int(cond_text)
-        if cond is not None:
-            computed = conductor(curve)
-            if computed != cond:
-                raise ValueError(
-                    "line %d (%s): conductor mismatch: file says %d, computed %d"
-                    % (lineno, label, cond, computed)
-                )
-        rank = None if rank_text == "?" else int(rank_text)
-        records.append(CurveRecord(label, curve, cond, rank))
+        rec = CurveRecord(label, curve, cond, None if rank_text == "?" else int(rank_text))
+        if cond is not None and rec.data.conductor != cond:
+            raise ValueError(
+                "line %d (%s): conductor mismatch: file says %d, computed %d"
+                % (lineno, label, cond, rec.data.conductor)
+            )
+        records.append(rec)
     return records
 
 
@@ -102,7 +105,6 @@ def verdict_object(v: CongruenceVerdict) -> dict:
 
 def report_object(r: ParityReport) -> dict:
     """The report as a plain JSON-compatible object tree."""
-    c1, c2 = r.curves
     evidence = {}
     for ell in r.sigma_data.sigma:
         ev = r.sigma_data.evidence.get(ell)
@@ -115,8 +117,7 @@ def report_object(r: ParityReport) -> dict:
             "undetermined": ev.undetermined,
             "warnings": list(ev.warnings),
         }
-    r1, r2 = r.ranks
-    lhs, rhs = r.parities
+    (r1, r2), (lhs, rhs) = r.ranks, r.parities
     deduced = None
     if r.deduced is not None:
         deduced = {
@@ -128,8 +129,8 @@ def report_object(r: ParityReport) -> dict:
     return {
         "schema_version": "1",
         "curves": [
-            {"label": r.labels[0], "coefficients": c1.coefficients(), "conductor": r.conductors[0]},
-            {"label": r.labels[1], "coefficients": c2.coefficients(), "conductor": r.conductors[1]},
+            {"label": label, "coefficients": c.coefficients(), "conductor": n}
+            for label, c, n in zip(r.labels, r.curves, r.conductors)
         ],
         "p": r.p,
         "congruence": None if r.congruence is None else verdict_object(r.congruence),

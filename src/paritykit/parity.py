@@ -60,7 +60,7 @@ class DeducedRank:
     curve: str | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ParityReport:
     curves: tuple[CurveModel, CurveModel]
     conductors: tuple[int, int]
@@ -89,7 +89,8 @@ _RULE_TATE = "multiplicative with p | v_ell(min disc): the mod-p representation 
 _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces the drop"
 
 
-def _gate(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> None:
+def check_supersingular_pair(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> None:
+    """ValueError unless both curves are good and supersingular at p."""
     for name, c in (("E1", c1), ("E2", c2)):
         if not is_supersingular(c, p):
             raise ValueError("%s is not supersingular at %d (a_p must be 0)" % (name, p))
@@ -98,7 +99,7 @@ def _gate(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> Non
 def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> SigmaData:
     """sigma = {p} + bad primes of either curve; sigma0 = conductor-drop primes."""
     e1, e2 = CurveData.of(c1), CurveData.of(c2)
-    _gate(e1, e2, p)
+    check_supersingular_pair(e1, e2, p)
     sigma = tuple(sorted({*e1.bad, *e2.bad, p}))
     evidence: dict[int, DropEvidence] = {}
     sigma0 = []
@@ -247,9 +248,7 @@ def parity_relation(
     others = [ell for ell in sigma_data.sigma if ell != p]
     tau1 = tuple(tau(e1.local(ell), p) for ell in others)
     tau2 = tuple(tau(e2.local(ell), p) for ell in others)
-    # sigma0 lies in others, so S1 and S2 are read off tau1 and tau2
-    sigma0 = set(sigma_data.sigma0)
-    s1, s2 = (frozenset(r.ell for r in rs if r.ell in sigma0 and r.delta_parity) for rs in (tau1, tau2))
+    s1, s2 = s_set(e1, sigma_data.sigma0, p), s_set(e2, sigma_data.sigma0, p)
     relation_holds = None
     if rank1 is not None and rank2 is not None:
         relation_holds = (rank1 + len(s1)) % 2 == (rank2 + len(s2)) % 2

@@ -424,6 +424,22 @@ def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys, cold_cach
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--file", str(DATA / "congruent_pair.curves"), "-p", "5"],
+    ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
+     "-p", "5", "--ranks-file", str(DATA / "congruent_pair.curves")],
+])
+def test_stated_conductors_are_computed_once(argv, monkeypatch, capsys, cold_caches):
+    # The file states both conductors; checking them fills the bad-prime data
+    # that the request then reads, so Tate's algorithm runs once per (model, ell).
+    seen = []
+    patch_everywhere(monkeypatch, local, "tate_local", recorder(seen))
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert {ell for _, ell in seen} >= {3, 13, 23}
+    assert len(seen) == len(set(seen))
+
+
 def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
     # The base curve y^2 = x^3 - 7x has B = 0 in its short form, so its traces
     # come from the j = 1728 formula.  The member's forms reach the character
