@@ -1,4 +1,9 @@
-"""Integer arithmetic helpers: Jacobi symbol, primality, factoring, valuations."""
+"""Integer arithmetic helpers: Jacobi symbol, primality, factoring, valuations.
+
+Nothing is memoised: factor works out each factorization afresh, and a caller
+that needs one again keeps it (local.CurveData keeps a curve's bad primes for
+a run).  The only module state is the prime table _PRIMES, built at import.
+"""
 
 from __future__ import annotations
 
@@ -20,8 +25,6 @@ _IS_PRIME_BOUND = 2**64
 
 _TRIAL_LIMIT = 2**16
 _DEFAULT_FACTOR_BUDGET = 10.0
-
-_factor_cache: dict[int, Factorization] = {}
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -168,9 +171,6 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
-    if n in _factor_cache:
-        return list(_factor_cache[n])
-    key = n
     deadline = None if time_budget is None else time.monotonic() + time_budget
     out: dict[int, int] = {}
     for p in _PRIMES:
@@ -195,9 +195,7 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
             d = _pollard_rho(m, deadline)
             stack.append((d, e))
             stack.append((m // d, e))
-    result = sorted(out.items())
-    _factor_cache[key] = result
-    return list(result)
+    return sorted(out.items())
 
 
 def valuation(n: int, p: int) -> int:

@@ -234,25 +234,32 @@ def _cmd_scan(args) -> int:
         except ValueError as exc:
             print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
             continue
-        if ok:
-            eligible.append(rec)
-        else:
+        if not ok:
             print("skipping %s: not supersingular at %d" % (rec.label, p), file=sys.stderr)
+            continue
+        try:
+            rec.data.bad  # factored here, once, rather than retried by each of its pairs
+        except ComputationLimitError as exc:
+            print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
+            continue
+        eligible.append(rec)
     pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]
     code = EXIT_OK
     emitted = []
     for a, b in pairs:
+        verdict = check_congruence(a.data, b.data, p)
+        if verdict.status is not CongruenceStatus.VERIFIED:
+            print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
+            continue
         try:
-            verdict = check_congruence(a.data, b.data, p)
-            if verdict.status is not CongruenceStatus.VERIFIED:
-                print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
-                continue
             report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
                                      labels=(a.label, b.label))
-            _deduce(report, None)
-        except (ComputationLimitError, ValueError) as exc:
+        except ComputationLimitError as exc:
+            # sigma0 needs the other curve's trace at each bad prime, and one
+            # past the scan may exceed the counting ceiling
             print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)
             continue
+        _deduce(report, None)
         emitted.append(report)
         if report.relation_holds is False:
             code = EXIT_VIOLATED

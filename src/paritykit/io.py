@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from .congruence import CongruenceVerdict
 from .local import CurveData
 from .parity import ParityReport
-from .weierstrass import CurveModel, discriminant, parse_curve
+from .weierstrass import CurveModel, parse_curve
 
 _LINE_RE = re.compile(r"^(\S+)\s+(\d+|\?)\s+(\[[^\]]*\])\s+(\d+|\?)$")
 _BIG = 1 << 53
@@ -61,14 +61,16 @@ def parse_curve_file(lines) -> list[CurveRecord]:
             curve = parse_curve(curve_text)
         except ValueError as exc:
             raise ValueError("line %d (%s): %s" % (lineno, label, exc)) from None
-        if discriminant(curve) == 0:
-            raise ValueError("line %d (%s): curve is singular" % (lineno, label))
         cond = None if cond_text == "?" else int(cond_text)
         rec = CurveRecord(label, curve, cond, None if rank_text == "?" else int(rank_text))
-        if cond is not None and rec.data.conductor != cond:
+        try:
+            data = rec.data
+        except ValueError:  # the only check CurveData makes: a zero discriminant
+            raise ValueError("line %d (%s): curve is singular" % (lineno, label)) from None
+        if cond is not None and data.conductor != cond:
             raise ValueError(
                 "line %d (%s): conductor mismatch: file says %d, computed %d"
-                % (lineno, label, cond, rec.data.conductor)
+                % (lineno, label, cond, data.conductor)
             )
         records.append(rec)
     return records

@@ -16,16 +16,19 @@ so s + 1 babies cover a stride of 2s + 1, and it centres the giant steps on
 multiples of the stride: about 40 group operations per point at ell = 7800.
 The kernel takes any number of curves at one prime; the character sums of one
 call share one table of x, x^3 and the quadratic character mod ell.
-count_points and tate_local call it with one curve.
+tate_local calls it with one curve, and count_points reads tate_local's trace.
 
-CurveData holds one curve's local data for one run: the bad-prime data,
-factored on first use, the conductor, and a dict of the good traces counted so
-far, which the Sturm scan in congruence.py and local() share.  A model is
-minimal and good at a prime that does not divide its discriminant, so the scan
-counts its trace there straight from the model, with no primality proof,
-minimal model or Tate's algorithm, in one kernel call shared by the curves
-that need a count.  Nothing outlives the CurveData: tate_local is plain
-Tate's algorithm and keeps no memo.
+CurveData holds one curve's local data for one run: the model's invariants,
+the bad-prime data, factored on first use, the conductor, and a dict of the
+good traces counted so far, which the Sturm scan in congruence.py and local()
+share.  tate_local reads the invariants from a CurveData, built for the call
+when it is given a bare model, so invariants are computed once per model and
+once per model that Tate's algorithm builds.  A model is minimal and good at
+a prime that does not divide its discriminant, so the scan counts its trace
+there straight from the model, with no primality proof, minimal model or
+Tate's algorithm, in one kernel call shared by the curves that need a count.
+Nothing outlives the CurveData: this module, weierstrass.py and arith.py
+keep no memo.
 """
 
 from __future__ import annotations
@@ -39,14 +42,7 @@ import numpy as np
 
 from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
-from .weierstrass import (
-    CurveModel,
-    Invariants,
-    Isomorphism,
-    invariants,
-    minimal_model_at,
-    transform,
-)
+from .weierstrass import CurveModel, Invariants, Isomorphism, _minimal_at, invariants, transform
 
 _DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
@@ -138,12 +134,10 @@ def _check_ceiling(ell: int, ceiling: int) -> None:
 
 def count_points(c: CurveModel, ell: int) -> int:
     """#E(F_ell) including the point at infinity; requires good reduction at ell."""
-    m = minimal_model_at(c, ell)  # rejects an ell that is not prime
-    _check_ceiling(ell, max_counting_prime())
-    inv = invariants(m)
-    if inv.disc % ell == 0:
+    d = tate_local(c, ell)
+    if d.red_type is not ReductionType.GOOD:
         raise ValueError("bad reduction at %d; use tate_local for local data" % ell)
-    return _count_good(ell, [(m, inv)])[0]
+    return ell + 1 - d.trace
 
 
 def _short_form(inv: Invariants) -> tuple[int, int]:
@@ -421,9 +415,10 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
     c = transform(m, Isomorphism.of(1, x0, 0, y0))
     if _valuation(c.a6, p) < 2:
         return "II", n
-    if _valuation(invariants(c).b8, p) < 3:
+    inv = invariants(c)
+    if _valuation(inv.b8, p) < 3:
         return "III", n - 1
-    if _valuation(invariants(c).b6, p) < 3:
+    if _valuation(inv.b6, p) < 3:
         return "IV", n - 2
     c = _normalize_depths(c, p)
     mults = _cubic_root_multiplicities(
@@ -448,10 +443,12 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
     raise ArithmeticError("model not minimal at %d after reduction (internal error)" % p)
 
 
-def tate_local(c: CurveModel, ell: int) -> LocalData:
+def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
-    m = minimal_model_at(c, ell)  # rejects an ell that is not prime
-    inv = invariants(m)
+    if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
+        raise ValueError("%r is not a prime" % (ell,))
+    e = CurveData.of(c)
+    m, inv = _minimal_at(e.model, e.inv, ell)
     n = _valuation(inv.disc, ell)
     if n == 0:
         _check_ceiling(ell, max_counting_prime())
@@ -510,7 +507,7 @@ class CurveData:
             return LocalData(ell, ReductionType.GOOD, 0, 0, self.traces[ell], "I0")
         if self._bad is not None and ell in self._bad:
             return self._bad[ell]
-        d = tate_local(self.model, ell)
+        d = tate_local(self, ell)
         if d.red_type is ReductionType.GOOD:
             self.traces[ell] = d.trace
         return d

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .arith import _valuation, factor, is_prime
@@ -52,7 +51,6 @@ class Invariants:
     j_den: int
 
 
-@lru_cache(maxsize=None)
 def invariants(c: CurveModel) -> Invariants:
     """b-, c-invariants, discriminant and j-invariant (as a reduced fraction)."""
     a1, a2, a3, a4, a6 = c.coefficients()
@@ -204,8 +202,15 @@ def minimal_model_at(c: CurveModel, ell: int) -> CurveModel:
     inv = invariants(c)
     if inv.disc == 0:
         raise ValueError("singular model: discriminant is zero")
+    return _minimal_at(c, inv, ell)[0]
+
+
+def _minimal_at(c: CurveModel, inv: Invariants, ell: int) -> tuple[CurveModel, Invariants]:
+    # minimal_model_at for a nonsingular c with invariants inv and a prime ell,
+    # with the invariants of the model it returns.
     e = _scale_exponent_at(inv.c4, inv.c6, inv.disc, ell)
     if e == 0:
-        return c
+        return c, inv
     u = ell**e
-    return _model_from_c_invariants(inv.c4 // u**4, inv.c6 // u**6)
+    m = _model_from_c_invariants(inv.c4 // u**4, inv.c6 // u**6)
+    return m, invariants(m)

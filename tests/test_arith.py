@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from paritykit import arith
 from paritykit.arith import factor, is_prime, jacobi, sieve_primes, valuation
 from paritykit.errors import ComputationLimitError
 
@@ -123,17 +122,7 @@ def test_factor_budget_exhaustion():
         factor(p * q, time_budget=0.001)
 
 
-def reset_factor_cache(monkeypatch):
-    # The state of a process that has not factored anything yet.
-    monkeypatch.setattr(arith, "_factor_cache", {})
-
-
-@pytest.fixture
-def cold_factor_cache(monkeypatch):
-    reset_factor_cache(monkeypatch)
-
-
-def test_factor_prime_powers_skip_rho(cold_factor_cache):
+def test_factor_prime_powers_skip_rho():
     # rho needs about sqrt(q) = 10^6 steps to split q**k; a root test does not
     q = 1000000000039
     assert is_prime(q)
@@ -158,13 +147,13 @@ BOUNDARY_VALUES = (
 )
 
 
-def test_factor_small_call_sieves_little(cold_factor_cache):
+def test_factor_small_call_sieves_little():
     assert factor(69) == [(3, 1), (23, 1)]
     assert factor(1) == []
 
 
 @pytest.mark.parametrize("n", BOUNDARY_VALUES)
-def test_factor_independent_of_prime_list_state(n, monkeypatch, cold_factor_cache):
+def test_factor_independent_of_prime_list_state(n):
     cold = factor(n)
     prod = 1
     for p, e in cold:
@@ -173,11 +162,9 @@ def test_factor_independent_of_prime_list_state(n, monkeypatch, cold_factor_cach
     assert prod == n
     assert cold == sorted(cold)
     # same result after an unrelated small call
-    reset_factor_cache(monkeypatch)
     factor(2 * 3 * 1009 * 1013)
     assert factor(n) == cold
-    # and from a cold cache again
-    monkeypatch.setattr(arith, "_factor_cache", {})
+    # and once more: factor keeps no memo, so every call starts cold
     assert factor(n) == cold
 
 

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import paritykit
+from paritykit import local
+from paritykit.arith import factor
 from paritykit.cli import run
+from paritykit.errors import ComputationLimitError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -284,6 +287,63 @@ def test_scan_skips_bad_records_and_unverified_pairs_and_flags_violations(tmp_pa
     assert "relation: r1 + |S1| = 1, r2 + |S2| = 0 (mod 2) -> VIOLATED\n" in out.out
 
 
+def test_scan_factors_each_record_once(tmp_path, monkeypatch, capsys):
+    # A discriminant that runs out of factoring budget (64, that of b1) costs
+    # one attempt and one line, and the other pairs report as if b1 were absent.
+    without_b1 = tmp_path / "without_b1.curves"
+    lines = (DATA / "family_d1.curves").read_text().splitlines(keepends=True)
+    without_b1.write_text("".join(line for line in lines if not line.startswith("b1 ")))
+    assert run(["scan", "--file", str(without_b1), "-p", "3"]) == 0
+    expected = capsys.readouterr()
+    assert expected.out.count("congruence: Verified") == 6
+    attempts = []
+
+    def out_of_budget_on_64(n, *args, **kwargs):
+        if abs(n) == 64:
+            attempts.append(n)
+            raise ComputationLimitError("factorization incomplete: time budget exhausted on 64")
+        return factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(local, "factor", out_of_budget_on_64)
+    assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
+    out = capsys.readouterr()
+    assert len(attempts) == 1
+    assert out.err == expected.err + "skipping b1: factorization incomplete: time budget exhausted on 64\n"
+    assert out.out == expected.out
+
+
+def test_scan_reports_a_pair_whose_sigma0_needs_a_count_above_the_ceiling(monkeypatch, capsys):
+    # Every pair is Verified at the reduced level (bound 96), which drops the
+    # multiplicative primes 44651 of m9 and 51133 of m12.  sigma0 then needs
+    # the other curve's trace there, above the ceiling: the pair is reported
+    # and the scan goes on.
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", "1000")
+    assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
+    out = capsys.readouterr()
+    message = "prime too large for point counting: %d exceeds the ceiling 1000; raise PARITYKIT_MAX_ELL"
+    assert out.err.splitlines() == [
+        "%s / %s: %s" % (a, b, message % ell)
+        for a, b, ell in (("b1", "m9", 44651), ("b1", "m12", 51133), ("m3", "m9", 44651),
+                          ("m3", "m12", 51133), ("m6", "m9", 44651), ("m6", "m12", 51133),
+                          ("m9", "m12", 44651))
+    ]
+    assert out.out.count("congruence: Verified") == 3
+
+
+def test_singular_input_is_a_usage_error(tmp_path, capsys):
+    for text in ("cusp ? [0,0,0,0,0] ?\n", "cusp 11 [0,0,0,0,0] 0\n", "node ? [0,1,0,0,0] ?\n"):
+        path = tmp_path / "singular.curves"
+        path.write_text("69a 69 [1,0,1,-1,-1] 0\n" + text)
+        message = "error: line 2 (%s): curve is singular\n" % text.split()[0]
+        assert run(["scan", "--file", str(path), "-p", "5"]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert run(["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--ranks-file", str(path)]) == 2
+        assert capsys.readouterr() == ("", message)
+    for e1, e2 in (("[0,0,0,0,0]", E69), (E69, "[0,1,0,0,0]")):
+        assert run(["analyze", "--e1", e1, "--e2", e2, "-p", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: singular model: discriminant is zero\n")
+
+
 def test_duplicate_labels_are_usage_errors(tmp_path, capsys):
     path = tmp_path / "dup.curves"
     path.write_text("a 69 [1,0,1,-1,-1] 0\na 897 [1,0,1,130884,-59725523] 1\n")
@@ -300,7 +360,7 @@ def test_scan_missing_file(capsys):
     capsys.readouterr()
 
 
-def test_limit_exit_code(capsys, monkeypatch, cold_caches):
+def test_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
     code = run(["analyze", "--e1", E69, "--e2", E897, "-p", "5"])
     out = capsys.readouterr()

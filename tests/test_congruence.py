@@ -145,11 +145,25 @@ def test_rejects_bad_modulus():
             check_congruence(E69, E897, p)
 
 
-def test_ceiling_abort_is_inconclusive(monkeypatch, cold_caches):
+def test_ceiling_abort_is_inconclusive(monkeypatch):
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
     v = check_congruence(E69, E897, 5)
     assert v.status is CongruenceStatus.INCONCLUSIVE
     assert "aborted" in v.caveat
+
+
+def test_additive_against_good_is_never_verified(monkeypatch):
+    # 27a is additive at 3 and 32a at 2.  With every good trace forced to
+    # agree, each comparison up to the bound 8640 passes, yet the scan must
+    # not certify the pair at p = 5: the first such prime, 2, rules it out.
+    monkeypatch.setattr(paritykit.congruence, "_good_traces",
+                        lambda ell, curves, ceiling: [None if d is None else 0 for d in curves])
+    v = check_congruence(CurveModel(0, 0, 1, 0, -7), E32, 5)
+    assert (v.status, v.level, v.bound, v.witness) == (CongruenceStatus.INCONCLUSIVE, 21600, 8640, None)
+    assert v.caveat.endswith(
+        "Traces agree up to the bound, but ell = 2 is additive for one curve and good "
+        "for the other, which rules out an isomorphism of mod-5 representations."
+    )
 
 
 def test_family_members_congruent_to_base_mod_3():
@@ -223,7 +237,6 @@ def test_readme_analyze_sieves_nothing(monkeypatch, capsys):
         raise AssertionError("sieve_primes(%d) called" % limit)
 
     monkeypatch.setattr(arith, "sieve_primes", refuse)
-    monkeypatch.setattr(arith, "_factor_cache", {})
     argv = ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
             "-p", "5", "--rank1", "0", "--rank2", "1"]
     assert run(argv) == 0
@@ -285,7 +298,7 @@ def reference_cases():
             yield random_curve(rng), random_curve(rng), p
 
 
-def test_scan_matches_reference_rules(cold_caches):
+def test_scan_matches_reference_rules():
     hits = {rule: 0 for rule in ("ell = p", "bad for both", "multiplicative against good",
                                  "additive against good")}
     for c1, c2, p in reference_cases():
@@ -325,22 +338,22 @@ def direct_primes(c1, c2, p, bound):
     (E69_NONMINIMAL, E897, 5),
     (base_curve(5), member(5, 6), 3),
 ])
-def test_good_primes_skip_primality_and_minimal_models(c1, c2, p, monkeypatch, cold_caches):
+def test_good_primes_skip_primality_and_minimal_models(c1, c2, p, monkeypatch):
     primes, models = [], []
     patch_everywhere(monkeypatch, arith, "is_prime", recorder(primes))
-    patch_everywhere(monkeypatch, weierstrass, "minimal_model_at", recorder(models))
+    patch_everywhere(monkeypatch, weierstrass, "_minimal_at", recorder(models))
     v = check_congruence(c1, c2, p)
     assert v.status is CongruenceStatus.VERIFIED
     direct = direct_primes(c1, c2, p, v.bound)
     assert len(direct) > 100
     seen_primes = {args[0] for args in primes}
-    seen_models = {args[1] for args in models}
+    seen_models = {args[2] for args in models}
     assert seen_models, "the recorder saw no call: the patch missed"
     assert not seen_primes & direct
     assert not seen_models & direct
 
 
-def test_nonminimal_model_bad_discriminant_prime_uses_tate(cold_caches):
+def test_nonminimal_model_bad_discriminant_prime_uses_tate():
     # 7 divides the discriminant of the scaled model although the curve is
     # good there, so ell = 7 goes through Tate's algorithm.
     assert discriminant(E69_NONMINIMAL) % 7 == 0
@@ -350,7 +363,7 @@ def test_nonminimal_model_bad_discriminant_prime_uses_tate(cold_caches):
     assert tate_local(E69_NONMINIMAL, 7).trace == tate_local(E69, 7).trace
 
 
-def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
+def test_failed_pair_counts_nothing_past_its_witness(monkeypatch):
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     data = CurveData(E69), CurveData(CurveModel(1, 0, 1, 33, -53))
@@ -363,7 +376,7 @@ def test_failed_pair_counts_nothing_past_its_witness(monkeypatch, cold_caches):
         assert max(d.traces) == 17
 
 
-def test_stored_traces_match_tate_local(cold_caches):
+def test_stored_traces_match_tate_local():
     data = [CurveData(c) for c in (E32, member(1, 3), member(1, 6))]
     for d2 in data[1:]:
         check_congruence(data[0], d2, 3)
@@ -373,7 +386,7 @@ def test_stored_traces_match_tate_local(cold_caches):
             assert a == tate_local(d.model, ell).trace, (d.model, ell)
 
 
-def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch, cold_caches):
+def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch):
     # 11a and 37a are good at 2 and 3: the scan counts both there with the
     # one kernel, stores the traces, and runs Tate's algorithm only at the
     # primes dividing a discriminant.
@@ -385,14 +398,14 @@ def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch, cold_cach
     v = check_congruence(*data, 5)
     assert v.witness == (3, -1, -3)
     assert [(args[0], len(args[1])) for args in counted] == [(2, 2), (3, 2)]
-    # Tate's algorithm ran once each, at 11 and at 37
-    assert tate == [(e11, 11), (e37, 37)]
+    # Tate's algorithm ran once each, at 11 and at 37, on the CurveData passed in
+    assert tate == [(data[0], 11), (data[1], 37)]
     for d, traces in zip(data, ([-2, -1], [-2, -3])):
         assert d.traces == dict(zip((2, 3), traces))
         assert traces == [tate_local(d.model, ell).trace for ell in (2, 3)]
 
 
-def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
+def test_later_pairs_reuse_stored_traces(monkeypatch):
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     e32, m3, m6 = (CurveData(c) for c in (E32, member(1, 3), member(1, 6)))
@@ -412,7 +425,7 @@ def test_later_pairs_reuse_stored_traces(monkeypatch, cold_caches):
      "-p", "5", "--rank1", "0", "--rank2", "1"],
     ["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3", "--json"],
 ])
-def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys, cold_caches):
+def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys):
     # The scan, the supersingularity gate at p and sigma0 read one trace
     # store per curve, so no (model, ell) is counted twice.
     counted = []
@@ -429,18 +442,19 @@ def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys, cold_cach
     ["analyze", "--e1", "[1,0,1,-1,-1]", "--e2", "[1,0,1,130884,-59725523]",
      "-p", "5", "--ranks-file", str(DATA / "congruent_pair.curves")],
 ])
-def test_stated_conductors_are_computed_once(argv, monkeypatch, capsys, cold_caches):
+def test_stated_conductors_are_computed_once(argv, monkeypatch, capsys):
     # The file states both conductors; checking them fills the bad-prime data
     # that the request then reads, so Tate's algorithm runs once per (model, ell).
     seen = []
     patch_everywhere(monkeypatch, local, "tate_local", recorder(seen))
     assert run(argv) == 0
     capsys.readouterr()
-    assert {ell for _, ell in seen} >= {3, 13, 23}
-    assert len(seen) == len(set(seen))
+    keys = [(getattr(c, "model", c), ell) for c, ell in seen]  # c is a CurveData or a model
+    assert {ell for _, ell in keys} >= {3, 13, 23}
+    assert len(keys) == len(set(keys))
 
 
-def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
+def test_j1728_forms_skip_the_general_counters(monkeypatch):
     # The base curve y^2 = x^3 - 7x has B = 0 in its short form, so its traces
     # come from the j = 1728 formula.  The member's forms reach the character
     # sum below the crossover and Shanks-Mestre above it, except at the few
@@ -461,11 +475,10 @@ def test_j1728_forms_skip_the_general_counters(monkeypatch, cold_caches):
     assert len(forms) == len(expected)
 
 
-def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_caches):
+def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch):
     # 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
     # The warm run reuses the CurveData objects that the full scan filled.
     for ceiling, ell in ((5, 7), (12, 13)):
-        cold_caches()
         data = CurveData(E69), CurveData(E897)
         monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
         cold = check_congruence(*data, 5)
@@ -482,7 +495,7 @@ def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch, cold_cac
         )
 
 
-def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch, cold_caches):
+def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch):
     # 13 is multiplicative for 897d and good for 69a; the trace of 69a counted
     # there is stored once and read back when 13 is good for both curves.
     e69 = CurveData(E69)
@@ -507,7 +520,7 @@ def retained_by(call):
         tracemalloc.stop()
 
 
-def test_scan_memory_stays_bounded(cold_caches):
+def test_scan_memory_stays_bounded():
     v, retained = retained_by(lambda: check_congruence(E69, E897, 5))
     assert v.status is CongruenceStatus.VERIFIED
     assert retained < 64 * 1024, retained

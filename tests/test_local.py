@@ -15,6 +15,7 @@ import paritykit
 from paritykit import arith, local
 from paritykit.errors import ComputationLimitError
 from paritykit.local import (
+    CurveData,
     LocalData,
     ReductionType,
     bad_reduction_data,
@@ -506,7 +507,21 @@ def test_count_points_input_gates():
         count_points(E11, 11)
 
 
-def test_counting_ceiling(monkeypatch, cold_caches):
+def test_singular_models_are_rejected():
+    # A cusp and a node; a prime is checked before the model, as minimal_model_at does.
+    for c in (CurveModel(0, 0, 0, 0, 0), CurveModel(0, 1, 0, 0, 0)):
+        assert discriminant(c) == 0
+        with pytest.raises(ValueError, match="^singular model: discriminant is zero$"):
+            CurveData(c)
+        for probe in (tate_local, minimal_model_at, count_points):
+            for ell in (2, 3, 5, 7):
+                with pytest.raises(ValueError, match="^singular model: discriminant is zero$"):
+                    probe(c, ell)
+            with pytest.raises(ValueError, match="10 is not a prime"):
+                probe(c, 10)
+
+
+def test_counting_ceiling(monkeypatch):
     assert max_counting_prime() == 10**8
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
     assert max_counting_prime() == 100
@@ -567,7 +582,7 @@ def test_frozen_split_assignments():
     assert tate_local(E11, 11).red_type is ReductionType.SPLIT_MULTIPLICATIVE
 
 
-def test_split_oracle_random_curves_at_2_and_3(cold_caches):
+def test_split_oracle_random_curves_at_2_and_3():
     # Seeded random curves until each of 2 and 3 has 2000 multiplicative
     # reductions.  The projective count of the reduction of the minimal model
     # is ell when split and ell + 2 when nonsplit.
