@@ -111,8 +111,6 @@ def _is_prime_unchecked(n: int) -> bool:
 
 def _pollard_rho(n: int, deadline: float | None) -> int:
     # Brent's variant; n odd composite, no prime factor below 2^16.
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1

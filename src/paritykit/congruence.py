@@ -13,8 +13,8 @@ with +-(ell + 1) at a multiplicative prime and with 0 at an additive one
 (skipped at p = 3); at a prime good for both the two traces are compared.
 Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
-later steps of the run.  local._good_traces checks the counting ceiling, read
-once per call, at every prime it serves.
+later steps of the run.  CurveData.trace serves each good trace and checks the
+counting ceiling, read once per call, even when the trace is stored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import prod
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
-from .local import CurveData, _good_traces, max_counting_prime
+from .local import CurveData, max_counting_prime
 from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
@@ -133,7 +133,8 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
         if ell == p or d1 and d2:
             continue
         try:
-            a1, a2 = _good_traces(ell, (None if d1 else e1, None if d2 else e2), ceiling)
+            a1 = None if d1 else e1.trace(ell, ceiling)
+            a2 = None if d2 else e2.trace(ell, ceiling)
         except ComputationLimitError as exc:
             notes.append("Scan aborted at %d: %s." % (ell, exc))
             return CongruenceVerdict(

@@ -14,21 +14,19 @@ operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3).
 The walk keys its baby steps by x and matches each giant step against +-j*P,
 so s + 1 babies cover a stride of 2s + 1, and it centres the giant steps on
 multiples of the stride: about 40 group operations per point at ell = 7800.
-The kernel takes any number of curves at one prime; the character sums of one
-call share one table of x, x^3 and the quadratic character mod ell.
-tate_local calls it with one curve, and count_points reads tate_local's trace.
+The kernel counts one model per call.  tate_local calls it on the model
+minimal at ell, and count_points reads tate_local's trace.
 
 CurveData holds one curve's local data for one run: the model's invariants,
 the bad-prime data, factored on first use, the conductor, and a dict of the
-good traces counted so far, which the Sturm scan in congruence.py and local()
-share.  tate_local reads the invariants from a CurveData, built for the call
-when it is given a bare model, so invariants are computed once per model and
-once per model that Tate's algorithm builds.  A model is minimal and good at
-a prime that does not divide its discriminant, so the scan counts its trace
-there straight from the model, with no primality proof, minimal model or
-Tate's algorithm, in one kernel call shared by the curves that need a count.
-Nothing outlives the CurveData: this module, weierstrass.py and arith.py
-keep no memo.
+good traces counted so far, which only its methods write: local() through
+tate_local, and trace() for the Sturm scan in congruence.py.  tate_local
+reads the invariants from a CurveData, built for the call when it is given a
+bare model, so invariants are computed once per model and once per model
+that Tate's algorithm builds.  A model is minimal and good at a prime that
+does not divide its discriminant, so trace() counts there straight from the
+model, with no primality proof, minimal model or Tate's algorithm.  Nothing
+outlives the CurveData: this module, weierstrass.py and arith.py keep no memo.
 """
 
 from __future__ import annotations
@@ -93,10 +91,6 @@ class EulerPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __str__(self) -> str:
         parts = []
         for i, a in enumerate(self.coeffs):
@@ -146,35 +140,28 @@ def _short_form(inv: Invariants) -> tuple[int, int]:
     return -27 * inv.c4, -54 * inv.c6
 
 
-def _count_good(ell: int, curves) -> list[int]:
-    # #E(F_ell) for each (model, invariants) pair in curves, the model good at
-    # the prime ell.  At 2 and 3 every point is counted; from 5 up the short
-    # form takes the j = 1728 formula, the character sum or Shanks-Mestre, and
-    # the character sums of one call share one table.
-    table = None
-    counts = []
-    for m, inv in curves:
-        if ell < 5:
-            n = 1 + sum(
-                (y * y + m.a1 * x * y + m.a3 * y - x**3 - m.a2 * x * x - m.a4 * x - m.a6) % ell == 0
-                for x in range(ell)
-                for y in range(ell)
-            )
+def _count_good(ell: int, m: CurveModel, inv: Invariants) -> int:
+    # #E(F_ell) of the model m, with invariants inv, good at the prime ell.  At
+    # 2 and 3 every point is counted; from 5 up the short form takes the
+    # j = 1728 formula, the character sum or Shanks-Mestre.
+    if ell < 5:
+        n = 1 + sum(
+            (y * y + m.a1 * x * y + m.a3 * y - x**3 - m.a2 * x * x - m.a4 * x - m.a6) % ell == 0
+            for x in range(ell)
+            for y in range(ell)
+        )
+    else:
+        a, b = _short_form(inv)
+        a, b = a % ell, b % ell
+        if b == 0:
+            n = ell + 1 - _trace_j1728(a, ell)
+        elif ell >= _BSGS_MIN_ELL:
+            n = _shanks_mestre(a, b, ell)
         else:
-            a, b = _short_form(inv)
-            a, b = a % ell, b % ell
-            if b == 0:
-                n = ell + 1 - _trace_j1728(a, ell)
-            elif ell >= _BSGS_MIN_ELL:
-                n = _shanks_mestre(a, b, ell)
-            else:
-                if table is None:
-                    table = _character_table(ell)
-                n = _character_sum(table, a, b, ell)
-        if (ell + 1 - n) ** 2 > 4 * ell:
-            raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
-        counts.append(n)
-    return counts
+            n = _character_sum(a, b, ell)
+    if (ell + 1 - n) ** 2 > 4 * ell:
+        raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
+    return n
 
 
 def _trace_j1728(a: int, ell: int) -> int:
@@ -201,23 +188,15 @@ def _trace_j1728(a: int, ell: int) -> int:
     return -2 * v if e * v % ell == u % ell else 2 * v
 
 
-def _character_table(ell: int):
-    # x, x^3 (below ell^2, reduced with the rest of f) and chi mod ell
+def _character_sum(a: int, b: int, ell: int) -> int:
+    # #E = ell + 1 + sum_x chi(x^3 + a*x + b), with chi mod ell read off the
+    # squares x^2: one gather and one sum.
     x = np.arange(ell, dtype=np.int64)
     x2 = x * x % ell
-    chi = np.empty(ell, dtype=np.int8)
-    chi.fill(-1)
+    chi = np.full(ell, -1, dtype=np.int8)
     chi[x2[: ell // 2 + 1]] = 1
     chi[0] = 0
-    return x, x2 * x, chi
-
-
-def _character_sum(table, a: int, b: int, ell: int) -> int:
-    # #E = ell + 1 + sum_x chi(x^3 + a*x + b): one gather and one sum.
-    x, x3, chi = table
-    f = x * a
-    f += x3
-    f += b
+    f = (x2 + a) * x + b
     f %= ell
     return ell + 1 + int(np.add.reduce(chi.take(f), dtype=np.int64))
 
@@ -452,7 +431,7 @@ def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     n = _valuation(inv.disc, ell)
     if n == 0:
         _check_ceiling(ell, max_counting_prime())
-        trace = ell + 1 - _count_good(ell, [(m, inv)])[0]
+        trace = ell + 1 - _count_good(ell, m, inv)
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:
         # Tate-curve criterion: split iff -c6 is a square in Q_ell (Silverman,
@@ -475,7 +454,7 @@ class CurveData:
 
     bad maps each prime of bad reduction, ascending, to its LocalData; the
     discriminant is factored on first use.  traces maps ell to a_ell at the
-    good primes seen so far, whether counted by the Sturm scan or by local().
+    good primes seen so far, whether counted by trace() or by local().
     """
 
     def __init__(self, model: CurveModel) -> None:
@@ -512,6 +491,18 @@ class CurveData:
             self.traces[ell] = d.trace
         return d
 
+    def trace(self, ell: int, ceiling: int) -> int:
+        """a_ell, counted from the model unless stored; ell must be good for the curve.
+
+        ell must not divide the model's discriminant unless the bad-prime data
+        stored its trace.  The ceiling is checked even when the trace is stored,
+        so a scan stops at the same prime cold or warm.
+        """
+        _check_ceiling(ell, ceiling)
+        if ell not in self.traces:
+            self.traces[ell] = ell + 1 - _count_good(ell, self.model, self.inv)
+        return self.traces[ell]
+
 
 def conductor(c: CurveModel) -> int:
     """Product over bad primes of ell^cond_exp."""
@@ -521,22 +512,6 @@ def conductor(c: CurveModel) -> int:
 def bad_reduction_data(c: CurveModel) -> list[LocalData]:
     """LocalData at every prime of bad reduction, ascending."""
     return list(CurveData(c).bad.values())
-
-
-def _good_traces(ell: int, curves, ceiling: int) -> list:
-    """a_ell of each CurveData in curves (None passed through), counting in one call what is not stored.
-
-    Each must be good at ell with its bad data built, which stores the trace at
-    a good prime dividing its discriminant.  The ceiling is checked even when
-    every trace is stored, so a scan stops at the same prime cold or warm.
-    """
-    _check_ceiling(ell, ceiling)
-    missing = [d for d in curves if d is not None and ell not in d.traces]
-    if missing:
-        counts = _count_good(ell, [(d.model, d.inv) for d in missing])
-        for d, n in zip(missing, counts):
-            d.traces[ell] = ell + 1 - n
-    return [None if d is None else d.traces[ell] for d in curves]
 
 
 def is_supersingular(c: CurveModel | CurveData, p: int) -> bool:

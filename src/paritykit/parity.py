@@ -164,8 +164,6 @@ def _root_multiplicity(coeffs: tuple[int, ...], x0: int, p: int) -> int:
             quotient.append(acc)
         cs = quotient
         mult += 1
-        if not cs:
-            break
     return mult
 
 

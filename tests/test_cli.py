@@ -126,6 +126,34 @@ def test_ranks_file_matches_a_curve_by_its_minimal_model(capsys):
     assert obj["ranks"]["known"] == {"e1": 0, "e2": 1}
 
 
+def test_ranks_file_without_a_match_keeps_the_default_labels(tmp_path, capsys):
+    # No record matches either curve, so the labels stay E1 and E2 and the
+    # ranks come from the flags alone.
+    ranks = tmp_path / "ranks.curves"
+    ranks.write_text("11a 11 [0,-1,1,-10,-20] 0\n")
+    argv = ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--rank1", "0", "--ranks-file", str(ranks)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "E1 = [1,0,1,-1,-1]  (E1, N = 69)\n" in out
+    assert "E2 = [1,0,1,130884,-59725523]  (E2, N = 897)\n" in out
+    assert "ranks: E1 0, E2 unknown\n" in out
+    assert run([*argv, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [c["label"] for c in obj["curves"]] == ["E1", "E2"]
+    assert obj["ranks"]["known"] == {"e1": 0, "e2": None}
+
+
+def test_text_report_prints_the_warning_of_a_sigma0_prime(capsys):
+    # 27a is good at 2 and the curve y^2 = x^3 + 1 (36a) additive there, so
+    # the drop at 2 rests on a congruence that cannot hold.
+    argv = ["analyze", "--e1", "[0,0,1,0,-7]", "--e2", "[0,0,0,0,1]", "-p", "5", "--assume-congruent"]
+    assert run(argv) == 0
+    assert (
+        "  warning at 2: additive for E2 yet good for E1: no mod-5 isomorphism can "
+        "exist, so this drop rests on a vacuous hypothesis\n"
+    ) in capsys.readouterr().out
+
+
 def test_analyze_assume_congruent_on_a_failed_pair(capsys):
     # 14a is supersingular at 5 but not congruent to 69a: the report goes on
     # under the caller's assertion and names the witness.
@@ -366,6 +394,17 @@ def test_limit_exit_code(capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == 3
     assert "Inconclusive" in out.err
+
+
+def test_limit_error_outside_the_scan_exits_3(capsys, monkeypatch):
+    # local-info counts at 101 directly; the limit error reaches cli.run.
+    monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
+    assert run(["local-info", "--curve", "[0,-1,1,-10,-20]", "--ell", "101"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "computational limit: prime too large for point counting: 101 exceeds the "
+        "ceiling 100; raise PARITYKIT_MAX_ELL\n",
+    )
 
 
 def test_missing_subcommand_is_usage_error():

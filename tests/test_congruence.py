@@ -156,8 +156,7 @@ def test_additive_against_good_is_never_verified(monkeypatch):
     # 27a is additive at 3 and 32a at 2.  With every good trace forced to
     # agree, each comparison up to the bound 8640 passes, yet the scan must
     # not certify the pair at p = 5: the first such prime, 2, rules it out.
-    monkeypatch.setattr(paritykit.congruence, "_good_traces",
-                        lambda ell, curves, ceiling: [None if d is None else 0 for d in curves])
+    monkeypatch.setattr(CurveData, "trace", lambda self, ell, ceiling: 0)
     v = check_congruence(CurveModel(0, 0, 1, 0, -7), E32, 5)
     assert (v.status, v.level, v.bound, v.witness) == (CongruenceStatus.INCONCLUSIVE, 21600, 8640, None)
     assert v.caveat.endswith(
@@ -387,8 +386,8 @@ def test_stored_traces_match_tate_local():
 
 
 def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch):
-    # 11a and 37a are good at 2 and 3: the scan counts both there with the
-    # one kernel, stores the traces, and runs Tate's algorithm only at the
+    # 11a and 37a are good at 2 and 3: the scan counts each there with one
+    # kernel call, stores the traces, and runs Tate's algorithm only at the
     # primes dividing a discriminant.
     e11, e37 = CurveModel(0, -1, 1, -10, -20), CurveModel(0, 0, 1, -1, 0)
     data = CurveData(e11), CurveData(e37)
@@ -397,7 +396,7 @@ def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch):
     patch_everywhere(monkeypatch, local, "tate_local", recorder(tate))
     v = check_congruence(*data, 5)
     assert v.witness == (3, -1, -3)
-    assert [(args[0], len(args[1])) for args in counted] == [(2, 2), (3, 2)]
+    assert [(m, ell) for ell, m, _ in counted] == [(e11, 2), (e37, 2), (e11, 3), (e37, 3)]
     # Tate's algorithm ran once each, at 11 and at 37, on the CurveData passed in
     assert tate == [(data[0], 11), (data[1], 37)]
     for d, traces in zip(data, ([-2, -1], [-2, -3])):
@@ -410,10 +409,10 @@ def test_later_pairs_reuse_stored_traces(monkeypatch):
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     e32, m3, m6 = (CurveData(c) for c in (E32, member(1, 3), member(1, 6)))
     first = check_congruence(e32, m3, 3)
-    assert {len(args[1]) for args in counted} == {2}
+    assert {m for _, m, _ in counted} == {e32.model, m3.model}
     counted.clear()
     second = check_congruence(e32, m6, 3)
-    assert {len(args[1]) for args in counted} == {1}
+    assert {m for _, m, _ in counted} == {m6.model}
     counted.clear()
     assert check_congruence(e32, m3, 3) == first
     assert check_congruence(m6, e32, 3).checked_primes == second.checked_primes
@@ -432,7 +431,7 @@ def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys):
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     assert run(argv) == 0
     capsys.readouterr()
-    keys = [(m, ell) for ell, curves in counted for m, _ in curves]
+    keys = [(m, ell) for ell, m, _ in counted]
     assert len(keys) > 100
     assert len(keys) == len(set(keys))
 
@@ -503,7 +502,7 @@ def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch):
     counted = []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
     assert check_congruence(e69, E69_NONMINIMAL, 5).status is CongruenceStatus.VERIFIED
-    at_13 = [form for ell, forms in counted if ell == 13 for form in forms]
+    at_13 = [(m, inv) for ell, m, inv in counted if ell == 13]
     assert at_13 == [(E69_NONMINIMAL, invariants(E69_NONMINIMAL))]
 
 

@@ -143,7 +143,7 @@ def general_count(A, B, ell):
     A, B = A % ell, B % ell
     if ell >= local._BSGS_MIN_ELL:
         return local._shanks_mestre(A, B, ell)
-    return local._character_sum(local._character_table(ell), A, B, ell)
+    return local._character_sum(A, B, ell)
 
 
 def check_against_oracle(A, B, ell, general=False):
@@ -157,31 +157,28 @@ def check_against_oracle(A, B, ell, general=False):
     return True
 
 
-def good_pairs(forms):
-    """(model, invariants) pairs of y^2 = x^3 + A*x + B for the counting kernel.
+def kernel_count(A, B, ell):
+    """#E of y^2 = x^3 + A*x + B by the counting kernel.
 
-    The kernel counts the short form (6^4*A, 6^6*B) of each model, which is
+    The kernel counts the short form (6^4*A, 6^6*B) of the model, which is
     isomorphic to it over F_ell and keeps the quartic and sextic classes of A
-    and B, so each (A, B) takes the same counting method as the raw form.
+    and B, so (A, B) takes the same counting method as the raw form.
     """
-    return [(m, invariants(m)) for m in (CurveModel(0, 0, 0, A, B) for A, B in forms)]
+    m = CurveModel(0, 0, 0, A, B)
+    return local._count_good(ell, m, invariants(m))
 
 
 def test_shared_table_kernel_matches_oracle():
-    # The character-sum kernel counts one or several curves per call on one
-    # table; every prime below the crossover and below 5000, with random,
-    # j = 0 and j = 1728 curves, alone and in pairs.
+    # The kernel counts one curve per call: every prime below the crossover
+    # and below 5000, with random, j = 0 and j = 1728 curves.
     rng = random.Random(229)
     for ell in (q for q in range(5, SMALL_PRIMES_END) if is_prime_naive(q)):
         forms = [(rng.randrange(ell), rng.randrange(ell)) for _ in range(2)]
         forms += [(0, rng.randrange(1, ell)), (rng.randrange(1, ell), 0)]
         forms = [(A, B) for A, B in forms if (4 * A**3 + 27 * B**2) % ell]
         expected = [character_sum_count(A, B, ell) for A, B in forms]
-        assert [local._count_good(ell, good_pairs([f]))[0] for f in forms] == expected, ell
-        pairs = [local._count_good(ell, good_pairs(forms[k : k + 2])) for k in range(0, len(forms), 2)]
-        assert sum(pairs, []) == expected, ell
-        assert local._count_good(ell, good_pairs(forms[::-1])) == expected[::-1], ell
-        # the (A, 0) forms take the j = 1728 formula; the table path must still count them
+        assert [kernel_count(A, B, ell) for A, B in forms] == expected, ell
+        # the (A, 0) forms take the j = 1728 formula; the general path must still count them
         for (A, B), n in zip(forms, expected):
             assert general_count(A, B, ell) == n, (A, B, ell)
 
@@ -194,7 +191,7 @@ def test_j1728_formula_matches_oracles():
         for A in power_classes(ell, 4):
             expected = character_sum_count(A, 0, ell)
             assert ell + 1 - local._trace_j1728(A, ell) == expected, (A, ell)
-            assert local._count_good(ell, good_pairs([(A, 0)])) == [expected], (A, ell)
+            assert kernel_count(A, 0, ell) == expected, (A, ell)
     rng = random.Random(233)
     residues = []
     for _ in range(300):
@@ -692,17 +689,50 @@ def test_conductor_model_independent():
 
 
 def test_ogg_relation_on_canaries():
-    # v(min disc) = f + m - 1 with m the component count determined by the type
+    # v(min disc) = f + m - 1 with m the component count determined by the
+    # type.  At 2 and 3 it also runs on seeded random curves, on each of them
+    # given by a non-minimal model scaled by 2 and by 3 (same local data), and
+    # on y^2 = x^3 - 27 and y^2 = x^3 - 243, which are III* and II* at 3: no
+    # random curve reaches those.  Every type then appears at both primes.
+    from paritykit.weierstrass import Isomorphism, transform
+    from fractions import Fraction
+
     components = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
+
+    def check(d):
+        """The type of d with n written for a chain length; asserts Ogg's formula."""
+        k = d.kodaira
+        if k.startswith("I") and k[1:].rstrip("*").isdigit() and k not in ("I0", "I0*"):
+            n = int(k[1:].rstrip("*"))
+            m = n if not k.endswith("*") else n + 5
+            k = "In*" if k.endswith("*") else "In"
+        else:
+            m = components[k]
+        assert d.v_disc == d.cond_exp + m - 1, d
+        return k
+
     for c in (E11, E14, E15, E27, E32, E37, E49, E64, E69, E897):
         for d in bad_reduction_data(c):
-            k = d.kodaira
-            if k.startswith("I") and k[1:].rstrip("*").isdigit() and k not in ("I0", "I0*"):
-                n = int(k[1:].rstrip("*"))
-                m = n if not k.endswith("*") else n + 5
-            else:
-                m = components[k]
-            assert d.v_disc == d.cond_exp + m - 1, (c, d)
+            check(d)
+    rng = random.Random(691)
+    curves = [CurveModel(0, 0, 0, 0, -27), CurveModel(0, 0, 0, 0, -243)]
+    for _ in range(3000):
+        c = CurveModel(rng.randrange(2), rng.randrange(-1, 2), rng.randrange(2),
+                       rng.randrange(-300, 301), rng.randrange(-300, 301))
+        if discriminant(c):
+            curves.append(c)
+    seen = {2: set(), 3: set()}
+    for c in curves:
+        for ell in (2, 3):
+            if discriminant(c) % ell:
+                continue
+            d = tate_local(c, ell)
+            if d.red_type is ReductionType.GOOD:
+                continue
+            seen[ell].add(check(d))
+            for u in (Fraction(1, 2), Fraction(1, 3)):
+                assert tate_local(transform(c, Isomorphism.of(u)), ell) == d, (c, u, ell)
+    assert seen[2] == seen[3] == {"In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
 
 
 def test_bad_reduction_data():
