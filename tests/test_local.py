@@ -735,6 +735,69 @@ def test_ogg_relation_on_canaries():
     assert seen[2] == seen[3] == {"In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*"}
 
 
+# For each (ell, Kodaira symbol, v(min disc)) class of additive reduction at 2
+# or 3 that the random curves of test_ogg_relation_on_canaries reach, the one
+# of smallest conductor <= 10^6.  Picked once and frozen, so the set does not
+# move with the code under test.
+_FE_CURVES = (
+    # ell = 2: I0* (8, 9), I1*, I2* (10, 13), I3*, II (4, 6, 7), II* (12, 14),
+    # III (4, 6, 9), III*, IV, IV*
+    "[0,-1,0,59,-195]", "[0,-1,0,32,4]", "[0,0,0,-63,194]", "[0,-1,0,-56,-288]",
+    "[0,1,0,-153,-297]", "[0,1,0,-96,-108]", "[0,-1,0,-23,42]", "[0,1,0,-53,-13]",
+    "[0,0,0,15,-70]", "[0,1,0,91,211]", "[0,1,0,59,-285]", "[0,1,0,-4,-19]",
+    "[0,-1,0,-162,0]", "[0,1,0,-35,49]", "[0,1,0,-40,-96]", "[0,0,0,0,13]",
+    "[0,1,0,-77,223]",
+    # ell = 3: I0*, I1*, I2*, II (3, 4, 5), III, IV (5, 6), IV*
+    "[1,-1,0,-33,-163]", "[1,-1,1,58,141]", "[1,-1,0,-27,-32]", "[0,0,1,-15,26]",
+    "[1,-1,0,18,12]", "[1,-1,0,-15,-223]", "[0,0,0,-33,-58]", "[1,-1,1,-41,173]",
+    "[0,0,1,-9,-106]", "[1,-1,1,-137,-215]",
+)
+
+
+def test_functional_equation_checks_conductors_at_2_and_3():
+    # The oracle for the conductor exponents that Tate's algorithm gives at 2
+    # and 3, where Ogg's relation holds by construction.  With a_n built from
+    # the traces (the Hecke recursion at good primes, a_ell^k at bad ones),
+    # theta(t) = sum a_n exp(-2 pi n t / sqrt(N)) satisfies
+    # theta(1/t) = w t^2 theta(t) for the root number w = +-1 only when N is
+    # the conductor (T. Dokchitser, Experiment. Math. 13, 2004).  The sum is
+    # cut at n <= 14 sqrt(N), where the terms are below exp(-80).
+    from paritykit.weierstrass import parse_curve
+
+    for text in _FE_CURVES:
+        e = CurveData(parse_curve(text))
+        n_conductor = e.conductor
+        root = math.sqrt(n_conductor)
+        nmax = int(14 * root)
+        a = [0, 1] + [0] * (nmax - 1)
+        smallest = list(range(nmax + 1))  # smallest prime factor
+        for q in range(2, math.isqrt(nmax) + 1):
+            if smallest[q] == q:
+                for k in range(q * q, nmax + 1, q):
+                    if smallest[k] == k:
+                        smallest[k] = q
+        for n in range(2, nmax + 1):
+            q = smallest[n]
+            rest, power = n, 1
+            while rest % q == 0:
+                rest, power = rest // q, power * q
+            if rest > 1:
+                a[n] = a[power] * a[rest]
+                continue
+            d = e.local(q)
+            good = d.red_type is ReductionType.GOOD
+            a[n] = d.trace * a[n // q] - (q * a[n // q // q] if good and n > q else 0)
+
+        def theta(t):
+            return math.fsum(a[n] * math.exp(-2 * math.pi * n * t / root) for n in range(1, nmax + 1))
+
+        signs = {1, -1}
+        for t in (1.1, 1.3):
+            lhs, rhs = theta(1 / t), t * t * theta(t)
+            signs &= {w for w in (1, -1) if abs(lhs - w * rhs) <= 1e-8 * abs(lhs)}
+        assert len(signs) == 1, (text, n_conductor)
+
+
 def test_bad_reduction_data():
     data = bad_reduction_data(E69)
     assert [d.ell for d in data] == [3, 23]
