@@ -1,32 +1,31 @@
 """Local data at a prime: reduction type, conductor exponent, traces, Euler factors.
 
-Reduction types and conductor exponents come from Tate's algorithm run on a
-model minimal at the prime in question; split and nonsplit multiplicative
-reduction are told apart by the Tate-curve criterion at every prime.  Traces
-at good primes are computed by exact point counting in one kernel,
-_count_good: exhaustive enumeration at 2 and 3, and from 5 up one of three
-methods per short form y^2 = x^3 + A*x + B.  B = 0 mod ell (j = 1728) has a
-closed-form trace, found in O(log ell) (Ireland-Rosen 18.4; Washington,
-"Elliptic Curves", 4.23).  Other forms take a vectorised quadratic-character
-sum in O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
+Reduction types and conductor exponents come from Tate's algorithm (Silverman,
+"Advanced Topics", IV.9) on a model minimal at the prime: a table by v(disc)
+from 5 up, and at 2 and 3 the whole algorithm on integer models, moved by
+weierstrass._translate.  Split and nonsplit multiplicative reduction are told
+apart by the Tate-curve criterion at every prime.  Traces at good primes come
+from one exact point-counting kernel, _count_good, one model per call:
+enumeration at 2 and 3, and from 5 up, on the short form y^2 = x^3 + A*x + B,
+a closed form in O(log ell) for B = 0 mod ell (j = 1728; Ireland-Rosen 18.4;
+Washington, "Elliptic Curves", 4.23), a vectorised quadratic-character sum in
+O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
 giant-step over the curve and its quadratic twist in O(ell^(1/4)) group
-operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3).
-The walk keys its baby steps by x and matches each giant step against +-j*P,
-so s + 1 babies cover a stride of 2s + 1, and it centres the giant steps on
-multiples of the stride: about 40 group operations per point at ell = 7800.
-The kernel counts one model per call.  tate_local calls it on the model
-minimal at ell, and count_points reads tate_local's trace.
+operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3;
+the walk is described at _killing_orders).  tate_local calls the kernel on the
+model minimal at ell, and count_points reads tate_local's trace.
 
 CurveData holds one curve's local data for one run: the model's invariants,
 the bad-prime data, factored on first use, the conductor, and a dict of the
 good traces counted so far, which only its methods write: local() through
 tate_local, and trace() for the Sturm scan in congruence.py.  tate_local
-reads the invariants from a CurveData, built for the call when it is given a
-bare model, so invariants are computed once per model and once per model
-that Tate's algorithm builds.  A model is minimal and good at a prime that
-does not divide its discriminant, so trace() counts there straight from the
-model, with no primality proof, minimal model or Tate's algorithm.  Nothing
-outlives the CurveData: this module, weierstrass.py and arith.py keep no memo.
+reads the invariants from a CurveData, built for the call when given a bare
+model; it computes them again only for a model minimal at ell that it builds
+and, at 2 and 3, after moving the singular point to (0, 0).  A model is
+minimal and good at a prime that does not divide its discriminant, so trace()
+counts there straight from the model, with no primality proof, minimal model
+or Tate's algorithm.  Nothing outlives the CurveData: this module,
+weierstrass.py and arith.py keep no memo.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
-from .weierstrass import CurveModel, Invariants, Isomorphism, _minimal_at, invariants, transform
+from .weierstrass import CurveModel, Invariants, _minimal_at, _translate, invariants
 
 _DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
@@ -297,14 +296,12 @@ def _singular_point(m: CurveModel, p: int) -> tuple[int, int]:
     raise ArithmeticError("no singular point found mod %d (internal error)" % p)
 
 
-def _quad_roots(qa: int, qb: int, qc: int, p: int) -> list[int]:
-    return [t for t in range(p) if (qa * t * t + qb * t + qc) % p == 0]
-
-
-def _quad_separable(qa: int, qb: int, qc: int, p: int) -> bool:
-    if p == 2:
-        return qb % 2 != 0
-    return (qb * qb - 4 * qa * qc) % p != 0
+def _double_root(qa: int, qb: int, qc: int, p: int) -> int | None:
+    # The repeated root mod p of qa*T^2 + qb*T + qc, p not dividing qa, or None
+    # when the quadratic is separable mod p.
+    if qb % 2 if p == 2 else (qb * qb - 4 * qa * qc) % p:
+        return None
+    return next(t for t in range(p) if (qa * t * t + qb * t + qc) % p == 0)
 
 
 # Kodaira symbol of additive reduction at ell >= 5 by v_ell(min disc), for
@@ -323,19 +320,18 @@ def _additive_type_large(inv: Invariants, ell: int, n: int) -> str:
 
 
 def _normalize_depths(c: CurveModel, p: int) -> CurveModel:
-    # Reach p | a1, a2; p^2 | a3, a4; p^3 | a6 by a translation (s, t).
-    for s in range(p):
-        for t in range(p * p):
-            cand = transform(c, Isomorphism.of(1, 0, s, t))
-            if (
-                cand.a1 % p == 0
-                and cand.a2 % p == 0
-                and cand.a3 % p**2 == 0
-                and cand.a4 % p**2 == 0
-                and cand.a6 % p**3 == 0
-            ):
-                return cand
-    raise ArithmeticError("depth normalization failed mod %d (internal error)" % p)
+    # Reach p | a1, a2; p^2 | a3, a4; p^3 | a6 by the translation (0, s, t),
+    # given the singular point at (0, 0), p^2 | a6 and p^3 | b6, b8, so that
+    # p | b2 (additive) and p^2 | b4 (4*b8 = b2*b6 - b4^2).  At 2, a1 is even
+    # by b2, s = a2 mod 2 clears a2, b6 and b8 give 4 | a3, a4, and t = 2*e,
+    # e = (a6/4) mod 2, leaves them and makes t^2 = a6 (mod 8).  At 3, s = a1
+    # mod 3 clears a1 and a2 (b2 = a1^2 + a2 mod 3), and t = a3 = -a3/2 (mod 9)
+    # as 3 | a3: 9 | 3*a3, 9 | a4 - a1*a3 by b4, 27 | a6 - 2*a3^2 by b6.
+    s, t = (c.a2 % 2, 2 * (c.a6 // 4 % 2)) if p == 2 else (c.a1 % 3, c.a3)
+    c = CurveModel(*_translate(c.coefficients(), 0, s, t))
+    if c.a1 % p or c.a2 % p or c.a3 % p**2 or c.a4 % p**2 or c.a6 % p**3:
+        raise ArithmeticError("depth normalization failed mod %d (internal error)" % p)
+    return c
 
 
 def _cubic_root_multiplicities(b: int, c: int, d: int, p: int) -> dict[int, int]:
@@ -370,31 +366,31 @@ def _star_loop(c: CurveModel, p: int, n: int) -> tuple[str, int]:
         a2t = _exact_div(c.a2, p)
         a3t = _exact_div(c.a3, my)
         a6t = _exact_div(c.a6, mx * my)
-        if _quad_separable(1, a3t, -a6t, p):
+        y0 = _double_root(1, a3t, -a6t, p)
+        if y0 is None:
             k = ix + iy - 5
             return "I%d*" % k, n - k - 4
-        (y0,) = set(_quad_roots(1, a3t, -a6t, p))
-        c = transform(c, Isomorphism.of(1, 0, 0, my * y0))
+        c = CurveModel(*_translate(c.coefficients(), 0, 0, my * y0))
         iy += 1
         my *= p
         a4t = _exact_div(c.a4, p * mx)
         a6t = _exact_div(c.a6, mx * my)
-        if _quad_separable(a2t, a4t, a6t, p):
+        x0 = _double_root(a2t, a4t, a6t, p)
+        if x0 is None:
             k = ix + iy - 5
             return "I%d*" % k, n - k - 4
-        (x0,) = set(_quad_roots(a2t, a4t, a6t, p))
-        c = transform(c, Isomorphism.of(1, mx * x0, 0, 0))
+        c = CurveModel(*_translate(c.coefficients(), mx * x0, 0, 0))
         ix += 1
         mx *= p
     raise ArithmeticError("runaway I_k* chain mod %d (internal error)" % p)
 
 
-def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
+def _additive_type_small(m: CurveModel, inv: Invariants, p: int, n: int) -> tuple[str, int]:
     x0, y0 = _singular_point(m, p)
-    c = transform(m, Isomorphism.of(1, x0, 0, y0))
+    c = CurveModel(*_translate(m.coefficients(), x0, 0, y0))
     if _valuation(c.a6, p) < 2:
         return "II", n
-    inv = invariants(c)
+    inv = inv if (x0, y0) == (0, 0) else invariants(c)
     if _valuation(inv.b8, p) < 3:
         return "III", n - 1
     if _valuation(inv.b6, p) < 3:
@@ -407,14 +403,14 @@ def _additive_type_small(m: CurveModel, p: int, n: int) -> tuple[str, int]:
     if worst == 1:
         return "I0*", n - 4
     (root,) = (t for t, k in mults.items() if k == worst)
-    c = transform(c, Isomorphism.of(1, p * root, 0, 0))
+    c = CurveModel(*_translate(c.coefficients(), p * root, 0, 0))
     if worst == 2:
         return _star_loop(c, p, n)
     a3t, a6t = _exact_div(c.a3, p**2), _exact_div(c.a6, p**4)
-    if _quad_separable(1, a3t, -a6t, p):
+    y1 = _double_root(1, a3t, -a6t, p)
+    if y1 is None:
         return "IV*", n - 6
-    (y1,) = set(_quad_roots(1, a3t, -a6t, p))
-    c = transform(c, Isomorphism.of(1, 0, 0, p * p * y1))
+    c = CurveModel(*_translate(c.coefficients(), 0, 0, p * p * y1))
     if _valuation(c.a4, p) < 4:
         return "III*", n - 7
     if _valuation(c.a6, p) < 6:
@@ -443,7 +439,7 @@ def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     if ell >= 5:
         kodaira, f = _additive_type_large(inv, ell, n), 2
     else:
-        kodaira, f = _additive_type_small(m, ell, n)
+        kodaira, f = _additive_type_small(m, inv, ell, n)
     if f < 2:
         raise ArithmeticError("additive exponent below 2 at %d (internal error)" % ell)
     return LocalData(ell, ReductionType.ADDITIVE, f, n, 0, kodaira)

@@ -1,4 +1,8 @@
-"""Integral Weierstrass models: invariants, coordinate changes, minimal models."""
+"""Integral Weierstrass models: invariants, coordinate changes, minimal models.
+
+_translate holds the formulas of x = x' + r, y = y' + s*x' + t: transform
+applies them to Fractions, Tate's algorithm at 2 and 3 (local.py) to integers.
+"""
 
 from __future__ import annotations
 
@@ -98,19 +102,21 @@ class Isomorphism:
         return (self.u, self.r, self.s, self.t) == (1, 0, 0, 0)
 
 
+def _translate(a, r, s, t) -> tuple:
+    # (a1, a2, a3, a4, a6) after x = x' + r, y = y' + s*x' + t, on ints or Fractions.
+    a1, a2, a3, a4, a6 = a
+    return (a1 + 2 * s, a2 - s * a1 + 3 * r - s * s, a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1)
+
+
 def transform(c: CurveModel, iso: Isomorphism) -> CurveModel:
     """Apply a change of variables; the result must again be integral."""
     if iso.u == 0:
         raise ValueError("isomorphism scale factor u must be nonzero")
-    a1, a2, a3, a4, a6 = (Fraction(v) for v in c.coefficients())
-    u, r, s, t = iso.u, iso.r, iso.s, iso.t
-    new = {
-        "a1": (a1 + 2 * s) / u,
-        "a2": (a2 - s * a1 + 3 * r - s * s) / u**2,
-        "a3": (a3 + r * a1 + 2 * t) / u**3,
-        "a4": (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
-        "a6": (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
-    }
+    a1, a2, a3, a4, a6 = _translate([Fraction(v) for v in c.coefficients()], iso.r, iso.s, iso.t)
+    u = iso.u
+    new = {"a1": a1 / u, "a2": a2 / u**2, "a3": a3 / u**3, "a4": a4 / u**4, "a6": a6 / u**6}
     for name, value in new.items():
         if value.denominator != 1:
             raise ValueError("transformation yields non-integral %s = %s" % (name, value))
