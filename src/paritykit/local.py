@@ -299,7 +299,7 @@ def _singular_point(m: CurveModel, p: int) -> tuple[int, int]:
 def _double_root(qa: int, qb: int, qc: int, p: int) -> int | None:
     # The repeated root mod p of qa*T^2 + qb*T + qc, p not dividing qa, or None
     # when the quadratic is separable mod p.
-    if qb % 2 if p == 2 else (qb * qb - 4 * qa * qc) % p:
+    if (qb if p == 2 else qb * qb - 4 * qa * qc) % p:
         return None
     return next(t for t in range(p) if (qa * t * t + qb * t + qc) % p == 0)
 
@@ -359,28 +359,20 @@ def _exact_div(n: int, d: int) -> int:
 
 
 def _star_loop(c: CurveModel, p: int, n: int) -> tuple[str, int]:
-    # I_k* chain: probe quadratics of increasing depth until one is separable.
-    ix, iy = 3, 3
+    # I_k* chain: probe quadratics of increasing depth, in y and then in x,
+    # until one is separable; k counts the probes.
     mx, my = p * p, p * p
-    for _ in range(n + 8):
-        a2t = _exact_div(c.a2, p)
-        a3t = _exact_div(c.a3, my)
-        a6t = _exact_div(c.a6, mx * my)
-        y0 = _double_root(1, a3t, -a6t, p)
+    for k in range(1, 2 * n + 17, 2):
+        y0 = _double_root(1, _exact_div(c.a3, my), -_exact_div(c.a6, mx * my), p)
         if y0 is None:
-            k = ix + iy - 5
             return "I%d*" % k, n - k - 4
         c = CurveModel(*_translate(c.coefficients(), 0, 0, my * y0))
-        iy += 1
         my *= p
-        a4t = _exact_div(c.a4, p * mx)
-        a6t = _exact_div(c.a6, mx * my)
-        x0 = _double_root(a2t, a4t, a6t, p)
+        a4t, a6t = _exact_div(c.a4, p * mx), _exact_div(c.a6, mx * my)
+        x0 = _double_root(_exact_div(c.a2, p), a4t, a6t, p)
         if x0 is None:
-            k = ix + iy - 5
-            return "I%d*" % k, n - k - 4
+            return "I%d*" % (k + 1), n - k - 5
         c = CurveModel(*_translate(c.coefficients(), mx * x0, 0, 0))
-        ix += 1
         mx *= p
     raise ArithmeticError("runaway I_k* chain mod %d (internal error)" % p)
 
