@@ -694,6 +694,10 @@ def test_ogg_relation_on_canaries():
     # given by a non-minimal model scaled by 2 and by 3 (same local data), and
     # on y^2 = x^3 - 27 and y^2 = x^3 - 243, which are III* and II* at 3: no
     # random curve reaches those.  Every type then appears at both primes.
+    # At 2 and 3 the relation is an identity of the code, which returns
+    # f = v - m + 1 for each symbol; there it checks the symbols and the
+    # model independence, and the conductor's oracle is the functional
+    # equation (test_functional_equation_checks_conductors_at_2_and_3).
     from paritykit.weierstrass import Isomorphism, transform
     from fractions import Fraction
 
@@ -796,6 +800,33 @@ def test_functional_equation_checks_conductors_at_2_and_3():
             lhs, rhs = theta(1 / t), t * t * theta(t)
             signs &= {w for w in (1, -1) if abs(lhs - w * rhs) <= 1e-8 * abs(lhs)}
         assert len(signs) == 1, (text, n_conductor)
+
+
+def test_tate_local_at_2_and_3_builds_no_isomorphism(monkeypatch, capsys):
+    # Tate's algorithm at 2 and 3 moves integer models by integer
+    # translations.  With Isomorphism.of and every binding of transform made
+    # to raise, it still runs on the curves above and on y^2 = x^3 - 27 and
+    # y^2 = x^3 - 243 (III* and II* at 3), and analyze runs on README 32a/207.
+    from paritykit import weierstrass
+    from paritykit.cli import run
+    from paritykit.weierstrass import parse_curve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Tate's algorithm built an isomorphism")
+
+    monkeypatch.setattr(weierstrass.Isomorphism, "of", staticmethod(refuse))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paritykit") and getattr(module, "transform", None) is weierstrass.transform:
+            monkeypatch.setattr(module, "transform", refuse)
+    kodaira = set()
+    for text in (*_FE_CURVES, "[0,0,0,0,-27]", "[0,0,0,0,-243]"):
+        for ell in (2, 3):
+            kodaira.add(tate_local(parse_curve(text), ell).kodaira)
+    assert {"III*", "II*", "IV*", "I0*", "I1*"} <= kodaira
+    argv = ["analyze", "--e1", "[0,0,0,-1,0]", "--e2", "[0,0,0,49572222344,41046438723984]",
+            "-p", "3", "--rank1", "0", "--rank2-bound", "1"]
+    assert run(argv) == 0
+    assert "S1 = {83}, S2 = {}\n" in capsys.readouterr().out
 
 
 def test_bad_reduction_data():
