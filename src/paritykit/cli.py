@@ -134,7 +134,7 @@ def _cmd_analyze(args) -> int:
     e1, e2 = (CurveData(c) if d is None else d for d, c in zip(data, (c1, c2)))
     check_supersingular_pair(e1, e2, p)
     verdict = check_congruence(e1, e2, p)
-    print("congruence verdict: %s" % verdict.caveat, file=sys.stderr)
+    print("congruence verdict: %s. %s" % (verdict.status, verdict.caveat), file=sys.stderr)
     if verdict.status is not CongruenceStatus.VERIFIED and not args.assume_congruent:
         if verdict.witness is not None:
             print(

@@ -105,9 +105,13 @@ class Isomorphism:
 def _translate(a, r, s, t) -> tuple:
     # (a1, a2, a3, a4, a6) after x = x' + r, y = y' + s*x' + t, on ints or Fractions.
     a1, a2, a3, a4, a6 = a
-    return (a1 + 2 * s, a2 - s * a1 + 3 * r - s * s, a3 + r * a1 + 2 * t,
-            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1)
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 def transform(c: CurveModel, iso: Isomorphism) -> CurveModel:
@@ -187,7 +191,8 @@ def minimal_model(c: CurveModel) -> tuple[CurveModel, Isomorphism]:
     if inv.disc == 0:
         raise ValueError("singular model: discriminant is zero")
     u = 1
-    candidates = {2, 3} | {q for q, _ in factor(inv.disc)}
+    # q scales out only if q^4 | c4 and q^6 | c6
+    candidates = {2, 3} | {q for q, _ in factor(gcd(inv.c4, inv.c6))}
     for q in sorted(candidates):
         u *= q ** _scale_exponent_at(inv.c4, inv.c6, inv.disc, q)
     target = _model_from_c_invariants(inv.c4 // u**4, inv.c6 // u**6)

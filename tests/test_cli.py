@@ -126,6 +126,27 @@ def test_ranks_file_matches_a_curve_by_its_minimal_model(capsys):
     assert obj["ranks"]["known"] == {"e1": 0, "e2": 1}
 
 
+def test_ranks_file_match_factors_no_number_twice(monkeypatch, capsys):
+    # minimal_model takes its candidate primes from gcd(c4, c6), not from the
+    # discriminant that the curve's local data factors.
+    argv = ["analyze", "--e1", "[7,0,343,-2401,-117649]", "--e2", E897, "-p", "5",
+            "--ranks-file", str(DATA / "congruent_pair.curves")]
+    assert run(argv) == 0
+    expected = capsys.readouterr()
+    seen = []
+
+    def recording_factor(n, *args, **kwargs):
+        seen.append(abs(n))
+        return factor(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paritykit") and getattr(module, "factor", None) is factor:
+            monkeypatch.setattr(module, "factor", recording_factor)
+    assert run(argv) == 0
+    assert capsys.readouterr() == expected
+    assert seen and len(seen) == len(set(seen)), seen
+
+
 def test_ranks_file_without_a_match_keeps_the_default_labels(tmp_path, capsys):
     # No record matches either curve, so the labels stay E1 and E2 and the
     # ranks come from the flags alone.
@@ -163,6 +184,17 @@ def test_analyze_assume_congruent_on_a_failed_pair(capsys):
     assert "congruence: Failed (level 24150, Sturm bound 11520, 1 primes compared)\n" in out.out
     assert "  witness: ell = 2, traces 1 vs -3\n" in out.out
     assert "Proceeding anyway because the caller asserted the congruence." in out.out
+
+
+def test_analyze_verdict_line_names_the_status_first(capsys):
+    # Every caveat opens with what Verified certifies, so the status goes first.
+    argv = ["analyze", "--e1", "[0,0,1,0,-7]", "--e2", "[0,0,0,0,1]", "-p", "5", "--assume-congruent"]
+    assert run(argv) == 0
+    (line,) = [x for x in capsys.readouterr().err.splitlines() if x.startswith("congruence verdict: ")]
+    assert line.startswith("congruence verdict: Failed. Verified certifies congruence of ")
+    assert line.endswith(" First mismatch at ell = 7.")
+    assert run(["analyze", "--e1", E69, "--e2", E897, "-p", "5"]) == 0
+    assert capsys.readouterr().err.startswith("congruence verdict: Verified. Verified certifies ")
 
 
 @pytest.mark.parametrize(
