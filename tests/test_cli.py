@@ -506,6 +506,14 @@ GOLDEN = DATA / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
+def test_golden_files_and_cases_match_one_to_one():
+    # A regeneration that renames or drops a case must not leave a stale file
+    # behind, nor a case whose file is missing.
+    named = [case["stdout"] for case in GOLDEN_CASES]
+    files = sorted(f.name for f in GOLDEN.iterdir() if f.name != "cases.json")
+    assert sorted(named) == files
+
+
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["stdout"] for c in GOLDEN_CASES])
 def test_output_matches_golden(case, capsys, monkeypatch):
     """Stdout and exit code of fixed commands, byte for byte.
