@@ -75,8 +75,6 @@ def _print_text_report(report, out) -> None:
     for ell, ev in report.sigma_data.evidence.items():
         for warning in ev.warnings:
             out.write("  warning at %d: %s\n" % (ell, warning))
-        if ev.undetermined:
-            out.write("  %d: sigma0 membership undetermined (additive at p = 3)\n" % ell)
     out.write("S1 = %s, S2 = %s\n" % (_fmt_set(report.s1), _fmt_set(report.s2)))
     out.write(
         "ranks: E1 %s, E2 %s\n"

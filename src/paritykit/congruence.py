@@ -9,8 +9,8 @@ the semisimplified representations; irreducibility is not checked here.
 The scan walks arith._PRIMES and branches only on each curve's reduction
 type at ell, read off its bad-prime data: ell = p and primes bad for both
 curves are skipped; at a prime bad for one curve the good trace is compared
-with +-(ell + 1) at a multiplicative prime and with 0 at an additive one
-(skipped at p = 3); at a prime good for both the two traces are compared.
+with +-(ell + 1) at a multiplicative prime and with 0 at an additive one;
+at a prime good for both the two traces are compared.
 Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
 later steps of the run.  CurveData.trace serves each good trace and checks the
@@ -72,13 +72,13 @@ def _sturm(level: dict[int, int]) -> int:
 def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, int]:
     """(level, Sturm bound) for lcm(N1, N2, p^2), read off the bad-prime data.
 
-    The reduced level drops multiplicative primes where the mod-p
-    representation is unramified (p divides the valuation of the minimal
-    discriminant, the Tate-curve criterion) and keeps everything else.
+    The reduced level drops the primes ell != p where E[p] is unramified
+    (LocalData.mod_p_cond_exp is 0: multiplicative with p | v_ell(min disc))
+    and keeps everything else.
     """
     level = {p: 2}
     for d in (*bad1.values(), *bad2.values()):
-        if reduced and d.ell != p and d.unramified_mod(p):
+        if reduced and d.ell != p and d.mod_p_cond_exp(p) == 0:
             continue
         level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
     return prod(ell**e for ell, e in level.items()), _sturm(level)
@@ -119,11 +119,6 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 "Sturm bound %d exceeds the scan cap %d; scanned primes up to "
                 "the cap for mismatches only." % (bound, _BOUND_CAP)
             )
-    if p == 3:
-        notes.append(
-            "Primes additive for one curve and good for the other are skipped "
-            "at p = 3 (a mod-3 conductor drop cannot be ruled out)."
-        )
     checked = 0
     structural = None
     limit = bound if complete else _BOUND_CAP
@@ -146,8 +141,6 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 # Compare against the Frobenius trace of the unramified
                 # semisimplified representation at a multiplicative prime: +-(ell + 1).
                 b = bad.trace * (ell + 1)
-            elif p == 3:
-                continue
             else:
                 b = 0
                 if structural is None:
@@ -160,8 +153,9 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
             )
     if structural is not None:
-        # Additive versus good forces a ramification mismatch of the mod-p
-        # representations for p >= 5 even when the traces happen to agree.
+        # E[p] is ramified at an additive prime ell != p, for every odd p
+        # (LocalData.mod_p_cond_exp >= 1), and unramified at a good one, so
+        # the mod-p representations differ even when the traces agree.
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "
             "curve and good for the other, which rules out an isomorphism of "

@@ -116,7 +116,6 @@ def report_object(r: ParityReport) -> dict:
             "e1": list(ev.e1_reasons),
             "e2": list(ev.e2_reasons),
             "in_sigma0": ev.in_sigma0,
-            "undetermined": ev.undetermined,
             "warnings": list(ev.warnings),
         }
     (r1, r2), (lhs, rhs) = r.ranks, r.parities
@@ -129,7 +128,7 @@ def report_object(r: ParityReport) -> dict:
             "candidates": list(r.deduced.candidates) if r.deduced.candidates is not None else None,
         }
     return {
-        "schema_version": "1",
+        "schema_version": "2",
         "curves": [
             {"label": label, "coefficients": c.coefficients(), "conductor": n}
             for label, c, n in zip(r.labels, r.curves, r.conductors)

@@ -79,9 +79,34 @@ class LocalData:
     trace: int
     kodaira: str
 
-    def unramified_mod(self, p: int) -> bool:
-        """Tate-curve criterion at ell != p: multiplicative with p | v_ell(min disc)."""
-        return self.red_type.is_multiplicative and self.v_disc % p == 0
+    def mod_p_cond_exp(self, p: int) -> int:
+        """Conductor exponent at ell of E[p], for an odd prime p != ell.
+
+        Wild inertia is an ell-group and the kernel of GL2(Z_p) -> GL2(F_p) is
+        pro-p, so E[p] and T_pE share their Swan conductor, and f(E[p]) =
+        f(E) - dim E[p]^I for the inertia group I at ell.  Good: E[p] is
+        unramified.  Multiplicative, a Tate curve up to an unramified twist: I
+        acts through the p-th roots of q, v(q) = v_ell(min disc), trivially
+        when p | v and else as a unipotent fixing a line.  Additive with
+        potentially multiplicative reduction: I acts as a ramified quadratic
+        character times a unipotent, and fixes nothing.  Additive with
+        potentially good reduction: I acts through a finite G, #G | 24, in
+        SL2(F_p) (the determinant is cyclotomic, trivial on I).  Its only
+        involution is -1, which fixes nothing, so a G that fixes a line is
+        cyclic of order 3, and it does so only for p = 3, where it is
+        unipotent (Serre, Invent. Math. 15, 1972).  At ell >= 5, #G =
+        12 / gcd(12, v_ell(min disc)) is 3 for Kodaira IV and IV*.  At ell = 2
+        an odd G is tame, so f(E) = 2; and f(E) = 2 leaves T_pE tame and rules
+        out potentially multiplicative reduction, whose character is wild.
+        """
+        if self.ell == p:
+            raise ValueError("the conductor of E[p] is computed at ell != p only")
+        if self.red_type is ReductionType.GOOD:
+            return 0
+        if self.red_type.is_multiplicative:
+            return 0 if self.v_disc % p == 0 else 1
+        order3 = self.kodaira in ("IV", "IV*") if self.ell >= 5 else self.ell == 2 and self.cond_exp == 2
+        return self.cond_exp - 1 if p == 3 and order3 else self.cond_exp
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ class DropEvidence:
     ell: int
     e1_reasons: tuple[str, ...]
     e2_reasons: tuple[str, ...]
-    undetermined: bool
     warnings: tuple[str, ...]
 
     @property
@@ -86,6 +85,7 @@ class ParityReport:
 
 
 _RULE_TATE = "multiplicative with p | v_ell(min disc): the mod-p representation is unramified"
+_RULE_ORDER_3 = "additive with inertia acting through a group of order 3, which fixes a line of E[3]"
 _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces the drop"
 
 
@@ -107,40 +107,21 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
         if ell == p:
             continue
         d1, d2 = e1.local(ell), e2.local(ell)
+        f1, f2 = d1.mod_p_cond_exp(p), d2.mod_p_cond_exp(p)
         reasons: tuple[list[str], list[str]] = ([], [])
-        warnings: list[str] = []
-        undetermined = False
-        for i, (mine, other) in enumerate(((d1, d2), (d2, d1))):
-            if mine.red_type is ReductionType.GOOD:
-                continue
-            if mine.unramified_mod(p):
-                reasons[i].append(_RULE_TATE)
-            if other.red_type is ReductionType.GOOD:
+        for i, (mine, other, f) in enumerate(((d1, d2, f1), (d2, d1, f2))):
+            if f < mine.cond_exp:
+                reasons[i].append(_RULE_TATE if mine.red_type.is_multiplicative else _RULE_ORDER_3)
+            if mine.red_type is not ReductionType.GOOD and other.red_type is ReductionType.GOOD:
                 reasons[i].append(_RULE_OTHER_GOOD)
-                if mine.red_type is ReductionType.ADDITIVE and p >= 5:
-                    warnings.append(
-                        "additive for E%d yet good for E%d: no mod-%d isomorphism "
-                        "can exist, so this drop rests on a vacuous hypothesis"
-                        % (i + 1, 2 - i, p)
-                    )
-            if (
-                mine.red_type is ReductionType.ADDITIVE
-                and p == 3
-                and other.red_type is not ReductionType.GOOD
-            ):
-                # The mod-3 inertia image at an additive prime can have order
-                # divisible by 3, so a conductor drop cannot be ruled in or out
-                # from reduction data alone.
-                undetermined = True
-        if d1.red_type.is_multiplicative and d2.red_type.is_multiplicative:
-            dropped = [bool(r) for r in reasons]
-            if dropped[0] != dropped[1]:
-                warnings.append(
-                    "multiplicative for both curves but the unramified criterion "
-                    "holds for only one; under the congruence the reduced "
-                    "conductors should agree"
-                )
-        ev = DropEvidence(ell, tuple(reasons[0]), tuple(reasons[1]), undetermined, tuple(warnings))
+        warnings = ()
+        if f1 != f2:
+            warnings = (
+                "E1[%d] has conductor exponent %d here and E2[%d] has %d: no mod-%d "
+                "isomorphism can exist, so a drop here rests on a vacuous hypothesis"
+                % (p, f1, p, f2, p),
+            )
+        ev = DropEvidence(ell, tuple(reasons[0]), tuple(reasons[1]), warnings)
         evidence[ell] = ev
         if ev.in_sigma0:
             sigma0.append(ell)

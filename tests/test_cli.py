@@ -170,8 +170,8 @@ def test_text_report_prints_the_warning_of_a_sigma0_prime(capsys):
     argv = ["analyze", "--e1", "[0,0,1,0,-7]", "--e2", "[0,0,0,0,1]", "-p", "5", "--assume-congruent"]
     assert run(argv) == 0
     assert (
-        "  warning at 2: additive for E2 yet good for E1: no mod-5 isomorphism can "
-        "exist, so this drop rests on a vacuous hypothesis\n"
+        "  warning at 2: E1[5] has conductor exponent 0 here and E2[5] has 2: no "
+        "mod-5 isomorphism can exist, so a drop here rests on a vacuous hypothesis\n"
     ) in capsys.readouterr().out
 
 

@@ -272,9 +272,6 @@ def reference_scan(c1, c2, p, limit, hits):
             if bad.red_type.is_multiplicative:
                 hits["multiplicative against good"] += 1
                 b = bad.trace * (ell + 1)
-            elif p == 3:
-                hits["additive against good"] += 1
-                continue
             else:
                 hits["additive against good"] += 1
                 b = 0

@@ -97,7 +97,7 @@ def test_report_schema_shape():
         "relation",
         "hypotheses",
     ]
-    assert obj["schema_version"] == "1"
+    assert obj["schema_version"] == "2"
     assert obj["curves"][0]["conductor"] == 69
     assert obj["curves"][1]["coefficients"] == [1, 0, 1, 130884, -59725523]
     assert obj["p"] == 5
@@ -110,6 +110,7 @@ def test_report_schema_shape():
     assert obj["tau"]["e1"]["13"]["tau"] == 1
     assert obj["tau"]["e2"]["13"]["parity"] == 0
     assert obj["drop_evidence"]["13"]["in_sigma0"] is True
+    assert list(obj["drop_evidence"]["13"]) == ["e1", "e2", "in_sigma0", "warnings"]
     assert [h["id"] for h in obj["hypotheses"]][0] == "mu_plus_minus_zero"
 
 

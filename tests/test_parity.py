@@ -99,7 +99,7 @@ def test_sigma_pair_mod_5():
     ev = data.evidence[13]
     assert ev.e1_reasons == ()
     assert len(ev.e2_reasons) == 2  # unramified criterion and good-for-E1
-    assert not ev.undetermined
+    assert ev.warnings == ()  # E[5] is unramified at 13 for both curves
     assert data.evidence[3].in_sigma0 is False
     assert data.evidence[23].in_sigma0 is False
 
@@ -108,10 +108,11 @@ def test_sigma_pair_mod_3():
     data = compute_sigma0(E32, E207, 3)
     assert data.sigma == (2, 3, 37, 83, 4035637)
     assert data.sigma0 == (37, 83, 4035637)
-    # both curves additive at 2 with p = 3: membership flagged undetermined
+    # both curves additive at 2 (III and III*, exponent 5) with p = 3: inertia
+    # acts through no group of order 3, so E[3] has exponent 5 for both
     ev2 = data.evidence[2]
     assert ev2.in_sigma0 is False
-    assert ev2.undetermined is True
+    assert ev2.warnings == ()
     for ell in (37, 83, 4035637):
         assert data.evidence[ell].in_sigma0
 
@@ -147,7 +148,10 @@ def test_sigma0_both_multiplicative_disagreement_warning():
     data = compute_sigma0(c1, c2, 3)
     ev = data.evidence[2]
     assert ev.in_sigma0  # one side satisfies the unramified criterion
-    assert any("only one" in w for w in ev.warnings)
+    assert ev.warnings == (
+        "E1[3] has conductor exponent 1 here and E2[3] has 0: no mod-3 isomorphism "
+        "can exist, so a drop here rests on a vacuous hypothesis",
+    )
 
 
 def test_s_sets_pair_mod_5():
