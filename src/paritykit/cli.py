@@ -17,8 +17,8 @@ from .congruence import CongruenceStatus, check_congruence
 from .errors import ComputationLimitError
 from .family import member
 from .io import emit_json, emit_report, parse_curve_file, report_object, verdict_object
-from .local import CurveData, is_supersingular, tate_local
-from .parity import check_supersingular_pair, deduce_rank, parity_relation
+from .local import CurveData, tate_local
+from .parity import check_supersingular_pair, deduce_rank, outside_hypothesis, parity_relation
 from .weierstrass import minimal_model, parse_curve
 
 EXIT_OK = 0
@@ -228,12 +228,11 @@ def _cmd_scan(args) -> int:
     eligible = []
     for rec in records:
         try:
-            ok = is_supersingular(rec.data, p)
+            why = outside_hypothesis(rec.data, p)
         except ValueError as exc:
-            print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
-            continue
-        if not ok:
-            print("skipping %s: not supersingular at %d" % (rec.label, p), file=sys.stderr)
+            why = str(exc)
+        if why is not None:
+            print("skipping %s: %s" % (rec.label, why), file=sys.stderr)
             continue
         try:
             rec.data.bad  # factored here, once, rather than retried by each of its pairs

@@ -153,9 +153,8 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
             )
     if structural is not None:
-        # E[p] is ramified at an additive prime ell != p, for every odd p
-        # (LocalData.mod_p_cond_exp >= 1), and unramified at a good one, so
-        # the mod-p representations differ even when the traces agree.
+        # E[p] is ramified at an additive ell != p (mod_p_cond_exp >= 1) and
+        # unramified at a good one, whatever the traces and the odd p.
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "
             "curve and good for the other, which rules out an isomorphism of "

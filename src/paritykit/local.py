@@ -83,21 +83,19 @@ class LocalData:
         """Conductor exponent at ell of E[p], for an odd prime p != ell.
 
         Wild inertia is an ell-group and the kernel of GL2(Z_p) -> GL2(F_p) is
-        pro-p, so E[p] and T_pE share their Swan conductor, and f(E[p]) =
-        f(E) - dim E[p]^I for the inertia group I at ell.  Good: E[p] is
-        unramified.  Multiplicative, a Tate curve up to an unramified twist: I
-        acts through the p-th roots of q, v(q) = v_ell(min disc), trivially
-        when p | v and else as a unipotent fixing a line.  Additive with
-        potentially multiplicative reduction: I acts as a ramified quadratic
-        character times a unipotent, and fixes nothing.  Additive with
-        potentially good reduction: I acts through a finite G, #G | 24, in
-        SL2(F_p) (the determinant is cyclotomic, trivial on I).  Its only
-        involution is -1, which fixes nothing, so a G that fixes a line is
-        cyclic of order 3, and it does so only for p = 3, where it is
-        unipotent (Serre, Invent. Math. 15, 1972).  At ell >= 5, #G =
-        12 / gcd(12, v_ell(min disc)) is 3 for Kodaira IV and IV*.  At ell = 2
-        an odd G is tame, so f(E) = 2; and f(E) = 2 leaves T_pE tame and rules
-        out potentially multiplicative reduction, whose character is wild.
+        pro-p, so E[p] and T_pE share their Swan conductor: f(E[p]) = f(E) -
+        dim E[p]^I, for inertia I at ell.  Good: 0 (Neron-Ogg-Shafarevich).
+        Multiplicative, a Tate curve up to an unramified twist: I acts through
+        the p-th roots of q, v(q) = v_ell(min disc), trivially iff p | v, else
+        as a unipotent fixing a line.  Potentially multiplicative additive: I
+        acts as a ramified quadratic character times a unipotent, fixing
+        nothing.  Potentially good additive: I acts through a finite G in
+        SL2(F_p), #G | 24, whose only involution, -1, fixes nothing; so G fixes
+        a line only if it is cyclic of order 3 and p = 3, where it is unipotent
+        (Serre, Invent. Math. 15, 1972).  At ell >= 5, #G = 12 / gcd(12,
+        v_ell(min disc)) is 3 for Kodaira IV and IV*.  At ell = 2, #G = 3 iff
+        f(E) = 2: an odd G is tame, and f(E) = 2 leaves T_pE tame and rules out
+        potentially multiplicative reduction, whose character at 2 is wild.
         """
         if self.ell == p:
             raise ValueError("the conductor of E[p] is computed at ell != p only")

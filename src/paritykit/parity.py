@@ -1,8 +1,12 @@
 """Conductor-drop sets, local multiplicity parities, and the rank-parity relation.
 
 For a pair of curves congruent mod p and supersingular at p, the primes where
-the conductor of the mod-p representation drops below the conductor of one of
-the curves form the set sigma0.  At each such prime the parity of the local
+the conductor of E[p] drops below the conductor of one of the curves form the
+set sigma0.  LocalData.mod_p_cond_exp gives the exponent of E[p] at each
+ell != p from the reduction data; a curve bad where the other is good drops
+as well, as the congruence leaves E[p] unramified there.  Exponents of E1[p]
+and E2[p] that differ contradict the congruence and carry a warning, the one
+warning of the evidence.  At each prime of sigma0 the parity of the local
 correction delta(E, ell) equals the multiplicity of X = 1/ell as a root of the
 Euler factor reduced mod p; the primes with odd parity form S_1 and S_2, and
 the ranks satisfy r_1 + |S_1| = r_2 + |S_2| (mod 2).
@@ -89,11 +93,22 @@ _RULE_ORDER_3 = "additive with inertia acting through a group of order 3, which 
 _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces the drop"
 
 
+def outside_hypothesis(c: CurveModel | CurveData, p: int) -> str | None:
+    """None when a_p(E) = 0, the relation's hypothesis, else why not: a_3 = +-3 is supersingular too."""
+    if is_supersingular(c, p):
+        return None
+    a = CurveData.of(c).local(p).trace
+    if a % p:
+        return "not supersingular at %d" % p
+    return "supersingular at %d, but a_%d = %d is outside the a_p = 0 hypothesis" % (p, p, a)
+
+
 def check_supersingular_pair(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> None:
-    """ValueError unless both curves are good and supersingular at p."""
+    """ValueError unless both curves are good at p with a_p = 0."""
     for name, c in (("E1", c1), ("E2", c2)):
-        if not is_supersingular(c, p):
-            raise ValueError("%s is not supersingular at %d (a_p must be 0)" % (name, p))
+        why = outside_hypothesis(c, p)
+        if why is not None:
+            raise ValueError("%s is %s%s" % (name, why, "" if "hypothesis" in why else " (a_p must be 0)"))
 
 
 def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> SigmaData:
@@ -114,13 +129,10 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
                 reasons[i].append(_RULE_TATE if mine.red_type.is_multiplicative else _RULE_ORDER_3)
             if mine.red_type is not ReductionType.GOOD and other.red_type is ReductionType.GOOD:
                 reasons[i].append(_RULE_OTHER_GOOD)
-        warnings = ()
-        if f1 != f2:
-            warnings = (
-                "E1[%d] has conductor exponent %d here and E2[%d] has %d: no mod-%d "
-                "isomorphism can exist, so a drop here rests on a vacuous hypothesis"
-                % (p, f1, p, f2, p),
-            )
+        warnings = () if f1 == f2 else (
+            "E1[%d] has conductor exponent %d here and E2[%d] has %d: no mod-%d isomorphism "
+            "can exist, so a drop here rests on a vacuous hypothesis" % (p, f1, p, f2, p),
+        )
         ev = DropEvidence(ell, tuple(reasons[0]), tuple(reasons[1]), warnings)
         evidence[ell] = ev
         if ev.in_sigma0:
@@ -129,21 +141,15 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
 
 
 def _root_multiplicity(coeffs: tuple[int, ...], x0: int, p: int) -> int:
-    # Multiplicity of x0 as a root of the polynomial with ascending coeffs, mod p.
+    # Multiplicity of x0 as a root, mod p, of the nonzero polynomial with
+    # ascending coeffs: Horner divides by X - x0 while the remainder is 0.
     cs = [c % p for c in reversed(coeffs)]
     mult = 0
-    while len(cs) > 1 or (cs and cs[0] != 0):
-        value = 0
-        for c in cs:
-            value = (value * x0 + c) % p
-        if value != 0:
+    while any(cs):
+        for i in range(1, len(cs)):
+            cs[i] = (cs[i] + cs[i - 1] * x0) % p
+        if cs.pop():
             break
-        quotient = []
-        acc = 0
-        for c in cs[:-1]:
-            acc = (acc * x0 + c) % p
-            quotient.append(acc)
-        cs = quotient
         mult += 1
     return mult
 

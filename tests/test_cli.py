@@ -91,6 +91,17 @@ def test_analyze_gates_supersingularity_before_the_scan(extra, capsys, monkeypat
     assert capsys.readouterr() == ("", "error: E2 is not supersingular at 5 (a_p must be 0)\n")
 
 
+def test_gate_names_a_supersingular_trace_outside_the_hypothesis(tmp_path, capsys):
+    # member(1, 1) has a_3 = -3: supersingular at 3, yet not a_3 = 0
+    message = "supersingular at 3, but a_3 = -3 is outside the a_p = 0 hypothesis"
+    assert run(["analyze", "--e1", E32, "--e2", "[0,0,0,8,112]", "-p", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: E2 is %s\n" % message)
+    curves = tmp_path / "m1.curves"
+    curves.write_text("32a 32 [0,0,0,-1,0] 0\nm1 ? [0,0,0,8,112] ?\n")
+    assert run(["scan", "--file", str(curves), "-p", "3"]) == 0
+    assert capsys.readouterr() == ("", "skipping m1: %s\n" % message)
+
+
 def test_analyze_usage_errors(capsys):
     assert run(["analyze", "--e1", E69, "--e2", E897, "-p", "4"]) == 2
     assert run(["analyze", "--e1", "[1,2]", "--e2", E897, "-p", "5"]) == 2

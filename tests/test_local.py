@@ -654,6 +654,54 @@ def test_additive_types():
         assert d.trace == 0
 
 
+def test_mod_p_conductor_of_closed_forms():
+    # E[3]^I is the group of points of order 3 over the maximal unramified
+    # extension of Q_ell, and the exponent of E[3] is 2 minus its dimension.
+    # On y^2 = x^3 + ell^k they have x = 0 or x^3 = -4*ell^k.  x = 0 gives
+    # y = +-ell^(k/2), unramified for even k only; the cube root needs 3 | k,
+    # and k = 3 then leaves y^2 = -3*ell^3, of odd valuation.  On
+    # y^2 = x^3 + ell^k*x, x^2 = ell^k*(-3 +- 2*sqrt(3))/3, a unit times ell^k:
+    # odd k is ramified, and k = 2 leaves y^2 of valuation 3.  For p >= 5
+    # nothing drops at an additive prime.
+    for ell in (5, 7, 11, 13):
+        cases = [(CurveModel(0, 0, 0, 0, ell**k), 1 if k in (2, 4) else 2) for k in range(1, 6)]
+        cases += [(CurveModel(0, 0, 0, ell**k, 0), 2) for k in range(1, 4)]
+        for c, f3 in cases:
+            d = tate_local(c, ell)
+            assert (d.red_type, d.cond_exp) == (ReductionType.ADDITIVE, 2), (c, ell)
+            assert d.mod_p_cond_exp(3) == f3, (c, ell)
+            for p in (5, 7):
+                if p != ell:
+                    assert d.mod_p_cond_exp(p) == 2, (c, ell, p)
+
+
+def test_mod_3_conductor_drops_on_rational_3_torsion():
+    # On y^2 + a1*x*y + a3*y = x^3 the tangent at (0, 0) is y = 0, which meets
+    # the curve only there: (0, 0) has order 3, so inertia fixes a line of
+    # E[3] at every ell != 3, and at an additive ell the exponent drops by 1.
+    rng = random.Random(1729)
+    seen = {"2": 0, ">= 5": 0}
+    for _ in range(600):
+        a1, a3 = rng.randrange(-60, 61), rng.randrange(1, 20001)
+        if a1**3 == 27 * a3:
+            continue
+        for ell, d in CurveData(CurveModel(a1, 0, a3, 0, 0)).bad.items():
+            if ell != 3 and d.red_type is ReductionType.ADDITIVE:
+                assert d.mod_p_cond_exp(3) == d.cond_exp - 1, (a1, a3, ell)
+                seen["2" if ell == 2 else ">= 5"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_mod_p_conductor_at_good_and_multiplicative_primes():
+    assert tate_local(E11, 7).mod_p_cond_exp(5) == 0
+    # v_11(min disc) = 5 for 11a and 1 for 37a at 37
+    assert tate_local(E11, 11).mod_p_cond_exp(5) == 0
+    assert tate_local(E11, 11).mod_p_cond_exp(3) == 1
+    assert tate_local(E37, 37).mod_p_cond_exp(3) == 1
+    with pytest.raises(ValueError, match="ell != p"):
+        tate_local(E11, 11).mod_p_cond_exp(11)
+
+
 def test_conductor_canaries():
     expected = {
         E11: 11,

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from paritykit.congruence import check_congruence
-from paritykit.local import LocalData, ReductionType, tate_local
+from paritykit.local import CurveData, LocalData, ReductionType, is_supersingular, tate_local
 from paritykit.parity import (
     compute_sigma0,
     deduce_rank,
@@ -14,7 +14,7 @@ from paritykit.parity import (
     s_set,
     tau,
 )
-from paritykit.family import member
+from paritykit.family import base_curve, member
 from paritykit.weierstrass import CurveModel
 
 E14 = CurveModel(1, 0, 1, 4, -6)
@@ -152,6 +152,53 @@ def test_sigma0_both_multiplicative_disagreement_warning():
         "E1[3] has conductor exponent 1 here and E2[3] has 0: no mod-3 isomorphism "
         "can exist, so a drop here rests on a vacuous hypothesis",
     )
+
+
+def mod_p_exponents(e, p):
+    """{ell: conductor exponent of E[p]} at the bad primes of e; absent is good."""
+    return {ell: d.mod_p_cond_exp(p) for ell, d in e.bad.items() if ell != p}
+
+
+def test_congruent_pairs_share_the_mod_p_conductor():
+    # Isomorphic mod-p representations have the same conductor at every
+    # ell != p.  The exponents come from the bad-prime data alone, so no
+    # point is counted at a large good prime.
+    pairs = [(E69, E897, 5)]
+    for D in (1, 2, 5, 7, 35):
+        base = CurveData(base_curve(D))
+        for t in range(1, 31):
+            e = CurveData(member(D, t))
+            if is_supersingular(e, 3):
+                pairs.append((base, e, 3))
+    assert len(pairs) == 111
+    for c1, c2, p in pairs:
+        e1, e2 = CurveData.of(c1), CurveData.of(c2)
+        f1, f2 = mod_p_exponents(e1, p), mod_p_exponents(e2, p)
+        for ell in f1.keys() | f2.keys():
+            assert f1.get(ell, 0) == f2.get(ell, 0), (e1.model, e2.model, ell)
+
+
+def test_sigma0_takes_an_order_3_drop_at_an_additive_prime():
+    # At 5, E1 is IV, so inertia acts through order 3 and E1[3] has exponent
+    # 1, as does E2[3] at its I_n with 3 not dividing n: 5 is in sigma0 for
+    # E1, and tau(E2, 5) joins S2.  Elsewhere one curve is good and the other
+    # multiplicative with E[3] ramified, so the congruence fails there and
+    # each such prime carries the warning.
+    e1, e2 = CurveModel(1, -1, 1, 95, -178), CurveModel(1, -1, 0, -140, -185)
+    d1, d2 = tate_local(e1, 5), tate_local(e2, 5)
+    assert (d1.kodaira, d1.cond_exp) == ("IV", 2)
+    assert d2.red_type.is_multiplicative and d2.v_disc % 3
+    data = compute_sigma0(e1, e2, 3)
+    assert data.sigma0 == (5, 7, 31, 43, 3331, 105037)
+    ev = data.evidence[5]
+    assert ev.e1_reasons == (
+        "additive with inertia acting through a group of order 3, which fixes a line of E[3]",
+    )
+    assert (ev.e2_reasons, ev.warnings) == ((), ())
+    for ell in (7, 31, 43, 3331, 105037):
+        (warning,) = data.evidence[ell].warnings
+        assert "vacuous" in warning
+    assert s_set(e2, data.sigma0, 3) == frozenset({5, 31, 3331})
 
 
 def test_s_sets_pair_mod_5():
