@@ -9,8 +9,10 @@ the semisimplified representations; irreducibility is not checked here.
 The scan walks arith._PRIMES and branches only on each curve's reduction
 type at ell, read off its bad-prime data: ell = p and primes bad for both
 curves are skipped; at a prime bad for one curve the good trace is compared
-with +-(ell + 1) at a multiplicative prime and with 0 at an additive one;
-at a prime good for both the two traces are compared.
+with +-(ell + 1) at a multiplicative prime and with 0 at an additive one,
+where a clean scan still ends Inconclusive: E[p] is ramified at an additive
+ell != p for every odd p (LocalData.mod_p_cond_exp) and unramified at a
+good one.  At a prime good for both the two traces are compared.
 Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
 later steps of the run.  CurveData.trace serves each good trace and checks the
@@ -153,8 +155,6 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
             )
     if structural is not None:
-        # E[p] is ramified at an additive ell != p (mod_p_cond_exp >= 1) and
-        # unramified at a good one, whatever the traces and the odd p.
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "
             "curve and good for the other, which rules out an isomorphism of "

@@ -182,7 +182,7 @@ def test_sigma0_takes_an_order_3_drop_at_an_additive_prime():
     # At 5, E1 is IV, so inertia acts through order 3 and E1[3] has exponent
     # 1, as does E2[3] at its I_n with 3 not dividing n: 5 is in sigma0 for
     # E1, and tau(E2, 5) joins S2.  Elsewhere one curve is good and the other
-    # multiplicative with E[3] ramified, so the congruence fails there and
+    # multiplicative with E[3] ramified, so no mod-3 isomorphism can exist and
     # each such prime carries the warning.
     e1, e2 = CurveModel(1, -1, 1, 95, -178), CurveModel(1, -1, 0, -140, -185)
     d1, d2 = tate_local(e1, 5), tate_local(e2, 5)
