@@ -8,11 +8,12 @@ the semisimplified representations; irreducibility is not checked here.
 
 The scan walks arith._PRIMES and branches only on each curve's reduction
 type at ell, read off its bad-prime data: ell = p and primes bad for both
-curves are skipped; at a prime bad for one curve the good trace is compared
-with +-(ell + 1) at a multiplicative prime and with 0 at an additive one,
-where a clean scan still ends Inconclusive: E[p] is ramified at an additive
-ell != p for every odd p (LocalData.mod_p_cond_exp) and unramified at a
-good one.  At a prime good for both the two traces are compared.
+curves are skipped; at a prime good for both the traces are compared; at a
+prime bad for one curve the good trace is compared with +-(ell + 1) if it is
+multiplicative and with 0 if additive, where E[p] is ramified for every odd p
+(LocalData.mod_p_cond_exp) and a clean scan ends Inconclusive.  Inertia of
+order 3 is unipotent on E[3] and leaves the semisimplified trace unknown, so
+such a prime is not compared.
 Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
 later steps of the run.  CurveData.trace serves each good trace and checks the
@@ -144,9 +145,10 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 # semisimplified representation at a multiplicative prime: +-(ell + 1).
                 b = bad.trace * (ell + 1)
             else:
+                structural = structural or ell
+                if bad.mod_p_cond_exp(p) < bad.cond_exp:
+                    continue
                 b = 0
-                if structural is None:
-                    structural = ell
             a1, a2 = (b, a2) if d1 else (a1, b)
         checked += 1
         if (a1 - a2) % p != 0:

@@ -165,6 +165,21 @@ def test_additive_against_good_is_never_verified(monkeypatch):
     )
 
 
+def test_order_3_prime_is_structural_but_not_compared(capsys):
+    # Both curves have the rational 3-torsion point (0, 0), so both E[3]^ss
+    # are 1 + chi_3 and their traces agree at every prime good for both.
+    # E2 is IV at 7: inertia of order 3 acts unipotently on E[3], so E2[3] is
+    # ramified there and the semisimplified trace at 7 need not be 0 mod 3.
+    e1, e2 = CurveModel(0, 0, 1, 0, 0), CurveModel(0, 0, 7, 0, 0)
+    assert tate_local(e2, 7).kodaira == "IV" and tate_local(e2, 7).trace == 0
+    assert tate_local(e1, 7).trace % 3 == 2
+    v = check_congruence(e1, e2, 3)
+    assert (v.status, v.witness) == (CongruenceStatus.INCONCLUSIVE, None)
+    assert "ell = 7 is additive for one curve and good for the other" in v.caveat
+    assert run(["congruent", "--e1", "[0,0,1,0,0]", "--e2", "[0,0,7,0,0]", "-p", "3"]) == 3
+    assert capsys.readouterr().out.startswith("Inconclusive")
+
+
 def test_family_members_congruent_to_base_mod_3():
     for t in (3, -3, 6, -6, 9, -9, 12, -12):
         v = check_congruence(E32, member(1, t), 3)
@@ -272,6 +287,10 @@ def reference_scan(c1, c2, p, limit, hits):
             if bad.red_type.is_multiplicative:
                 hits["multiplicative against good"] += 1
                 b = bad.trace * (ell + 1)
+            elif p == 3 and (bad.kodaira in ("IV", "IV*") if ell >= 5 else bad.cond_exp == 2 == ell):
+                # inertia of order 3 is unipotent on E[3]: no trace to compare
+                hits["order 3 against good"] += 1
+                continue
             else:
                 hits["additive against good"] += 1
                 b = 0
@@ -296,7 +315,7 @@ def reference_cases():
 
 def test_scan_matches_reference_rules():
     hits = {rule: 0 for rule in ("ell = p", "bad for both", "multiplicative against good",
-                                 "additive against good")}
+                                 "additive against good", "order 3 against good")}
     for c1, c2, p in reference_cases():
         v = check_congruence(c1, c2, p)
         limit = min(v.bound, paritykit.congruence._BOUND_CAP)
