@@ -229,15 +229,12 @@ def _cmd_scan(args) -> int:
     for rec in records:
         try:
             why = outside_hypothesis(rec.data, p)
-        except ValueError as exc:
+            if why is None:
+                rec.data.bad  # factored here, once, rather than retried by each of its pairs
+        except (ValueError, ComputationLimitError) as exc:
             why = str(exc)
         if why is not None:
             print("skipping %s: %s" % (rec.label, why), file=sys.stderr)
-            continue
-        try:
-            rec.data.bad  # factored here, once, rather than retried by each of its pairs
-        except ComputationLimitError as exc:
-            print("skipping %s: %s" % (rec.label, exc), file=sys.stderr)
             continue
         eligible.append(rec)
     pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]

@@ -2,14 +2,13 @@
 
 For a pair of curves congruent mod p and supersingular at p, the primes where
 the conductor of E[p] drops below the conductor of one of the curves form the
-set sigma0.  LocalData.mod_p_cond_exp gives the exponent of E[p] at each
-ell != p from the reduction data; a curve bad where the other is good drops
-as well, as the congruence leaves E[p] unramified there.  Exponents of E1[p]
-and E2[p] that differ contradict the congruence and carry a warning, the one
-warning of the evidence.  At each prime of sigma0 the parity of the local
-correction delta(E, ell) equals the multiplicity of X = 1/ell as a root of the
-Euler factor reduced mod p; the primes with odd parity form S_1 and S_2, and
-the ranks satisfy r_1 + |S_1| = r_2 + |S_2| (mod 2).
+set sigma0.  LocalData.mod_p_cond_exp gives that exponent at each ell != p;
+a curve bad where the other is good drops too, as the congruence leaves E[p]
+unramified there, and exponents of E1[p] and E2[p] that differ carry the one
+warning.  At each prime of sigma0 the parity of the local correction
+delta(E, ell) equals the multiplicity of X = 1/ell as a root of the Euler
+factor reduced mod p; the primes with odd parity form S_1 and S_2, and the
+ranks satisfy r_1 + |S_1| = r_2 + |S_2| (mod 2).
 """
 
 from __future__ import annotations
@@ -95,9 +94,10 @@ _RULE_OTHER_GOOD = "bad here but good for the other curve: the congruence forces
 
 def outside_hypothesis(c: CurveModel | CurveData, p: int) -> str | None:
     """None when a_p(E) = 0, the relation's hypothesis, else why not: a_3 = +-3 is supersingular too."""
-    if is_supersingular(c, p):
+    e = CurveData.of(c)
+    if is_supersingular(e, p):
         return None
-    a = CurveData.of(c).local(p).trace
+    a = e.local(p).trace  # stored by is_supersingular: nothing is counted twice
     if a % p:
         return "not supersingular at %d" % p
     return "supersingular at %d, but a_%d = %d is outside the a_p = 0 hypothesis" % (p, p, a)
@@ -105,10 +105,10 @@ def outside_hypothesis(c: CurveModel | CurveData, p: int) -> str | None:
 
 def check_supersingular_pair(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> None:
     """ValueError unless both curves are good at p with a_p = 0."""
-    for name, c in (("E1", c1), ("E2", c2)):
-        why = outside_hypothesis(c, p)
+    for name, e in (("E1", CurveData.of(c1)), ("E2", CurveData.of(c2))):
+        why = outside_hypothesis(e, p)
         if why is not None:
-            raise ValueError("%s is %s%s" % (name, why, "" if "hypothesis" in why else " (a_p must be 0)"))
+            raise ValueError("%s is %s%s" % (name, why, " (a_p must be 0)" if e.local(p).trace % p else ""))
 
 
 def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> SigmaData:
@@ -117,10 +117,7 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
     check_supersingular_pair(e1, e2, p)
     sigma = tuple(sorted({*e1.bad, *e2.bad, p}))
     evidence: dict[int, DropEvidence] = {}
-    sigma0 = []
-    for ell in sigma:
-        if ell == p:
-            continue
+    for ell in sorted({*e1.bad, *e2.bad} - {p}):
         d1, d2 = e1.local(ell), e2.local(ell)
         f1, f2 = d1.mod_p_cond_exp(p), d2.mod_p_cond_exp(p)
         reasons: tuple[list[str], list[str]] = ([], [])
@@ -133,23 +130,27 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
             "E1[%d] has conductor exponent %d here and E2[%d] has %d: no mod-%d isomorphism "
             "can exist, so a drop here rests on a vacuous hypothesis" % (p, f1, p, f2, p),
         )
-        ev = DropEvidence(ell, tuple(reasons[0]), tuple(reasons[1]), warnings)
-        evidence[ell] = ev
-        if ev.in_sigma0:
-            sigma0.append(ell)
-    return SigmaData(p, sigma, tuple(sigma0), evidence)
+        evidence[ell] = DropEvidence(ell, tuple(reasons[0]), tuple(reasons[1]), warnings)
+    sigma0 = tuple(ell for ell, ev in evidence.items() if ev.in_sigma0)
+    return SigmaData(p, sigma, sigma0, evidence)
 
 
 def _root_multiplicity(coeffs: tuple[int, ...], x0: int, p: int) -> int:
-    # Multiplicity of x0 as a root, mod p, of the nonzero polynomial with
-    # ascending coeffs: Horner divides by X - x0 while the remainder is 0.
+    # Multiplicity of x0 as a root of the polynomial with ascending coeffs, mod p.
     cs = [c % p for c in reversed(coeffs)]
     mult = 0
-    while any(cs):
-        for i in range(1, len(cs)):
-            cs[i] = (cs[i] + cs[i - 1] * x0) % p
-        if cs.pop():
+    while len(cs) > 1 or (cs and cs[0] != 0):
+        value = 0
+        for c in cs:
+            value = (value * x0 + c) % p
+        if value != 0:
             break
+        quotient = []
+        acc = 0
+        for c in cs[:-1]:
+            acc = (acc * x0 + c) % p
+            quotient.append(acc)
+        cs = quotient
         mult += 1
     return mult
 
