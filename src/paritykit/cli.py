@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     # A CLI process serves one request, and what is alive at the first call is
-    # what importing numpy and paritykit left, with no cyclic garbage pending.
+    # what importing paritykit left, with no cyclic garbage pending.
     # Freezing it keeps the collections inside the request from walking it
     # again.  Later calls in one process (tests) leave their garbage collectable.
     if not gc.get_freeze_count():

@@ -8,12 +8,12 @@ apart by the Tate-curve criterion at every prime.  Traces at good primes come
 from one exact point-counting kernel, _count_good, one model per call:
 enumeration at 2 and 3, and from 5 up, on the short form y^2 = x^3 + A*x + B,
 a closed form in O(log ell) for B = 0 mod ell (j = 1728; Ireland-Rosen 18.4;
-Washington, "Elliptic Curves", 4.23), a vectorised quadratic-character sum in
-O(ell) below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step
-giant-step over the curve and its quadratic twist in O(ell^(1/4)) group
-operations (Cohen, "A Course in Computational Algebraic Number Theory", 7.4.3;
-the walk is described at _killing_orders).  tate_local calls the kernel on the
-model minimal at ell, and count_points reads tate_local's trace.
+Washington, "Elliptic Curves", 4.23), a pure-Python character sum in O(ell)
+below _BSGS_MIN_ELL, and from there up Shanks-Mestre baby-step giant-step over
+the curve and its quadratic twist in O(ell^(1/4)) group operations (Cohen, "A
+Course in Computational Algebraic Number Theory", 7.4.3; the walk is described
+at _killing_orders).  tate_local calls the kernel on the model minimal at ell,
+and count_points reads tate_local's trace.
 
 CurveData holds one curve's local data for one run: the model's invariants,
 the bad-prime data, factored on first use, the conductor, and a dict of the
@@ -35,18 +35,15 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
 from .weierstrass import CurveModel, Invariants, _minimal_at, _translate, invariants
 
 _DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
-# sum; on one form of the workloads' curves the two cost about 35 us near 2500,
-# and the walk is 37 against 63 us at 5000 (timings in CHANGES.md).  Mestre's
-# theorem bounds the walk only for ell > 229, so this must stay above.
-_BSGS_MIN_ELL = 2500
+# sum.  Mestre's theorem makes the walk end with one group order only for
+# ell > 229, so this is the first prime it may serve.
+_BSGS_MIN_ELL = 230
 
 
 class ReductionType(enum.Enum):
@@ -211,16 +208,13 @@ def _trace_j1728(a: int, ell: int) -> int:
 
 
 def _character_sum(a: int, b: int, ell: int) -> int:
-    # #E = ell + 1 + sum_x chi(x^3 + a*x + b), with chi mod ell read off the
-    # squares x^2: one gather and one sum.
-    x = np.arange(ell, dtype=np.int64)
-    x2 = x * x % ell
-    chi = np.full(ell, -1, dtype=np.int8)
-    chi[x2[: ell // 2 + 1]] = 1
-    chi[0] = 0
-    f = (x2 + a) * x + b
-    f %= ell
-    return ell + 1 + int(np.add.reduce(chi.take(f), dtype=np.int64))
+    # #E = 1 + sum_x #{y : y^2 = x^3 + a*x + b}, read off a table of the number
+    # of square roots mod ell: 1 at 0, 2 at each nonzero square, 0 elsewhere.
+    roots = bytearray(ell)
+    for y in range(1, ell // 2 + 1):
+        roots[y * y % ell] = 2
+    roots[0] = 1
+    return 1 + sum([roots[((x * x + a) * x + b) % ell] for x in range(ell)])
 
 
 def _shanks_mestre(a: int, b: int, ell: int) -> int:
@@ -441,7 +435,10 @@ def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     m, inv = _minimal_at(e.model, e.inv, ell)
     n = _valuation(inv.disc, ell)
     if n == 0:
-        _check_ceiling(ell, max_counting_prime())
+        # Only a count whose cost grows with ell meets the ceiling: the j = 1728
+        # closed form, for B = 0 mod ell, takes O(log ell).
+        if _short_form(inv)[1] % ell:
+            _check_ceiling(ell, max_counting_prime())
         trace = ell + 1 - _count_good(ell, m, inv)
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:

@@ -387,18 +387,27 @@ def test_scan_reports_a_pair_whose_sigma0_needs_a_count_above_the_ceiling(monkey
     # Every pair is Verified at the reduced level (bound 96), which drops the
     # multiplicative primes 44651 of m9 and 51133 of m12.  sigma0 then needs
     # the other curve's trace there, above the ceiling: the pair is reported
-    # and the scan goes on.
+    # and the scan goes on.  b1 has j = 1728, whose closed-form count is not
+    # held to the ceiling, so its pairs with m9 and m12 complete.
     monkeypatch.setenv("PARITYKIT_MAX_ELL", "1000")
     assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
     out = capsys.readouterr()
     message = "prime too large for point counting: %d exceeds the ceiling 1000; raise PARITYKIT_MAX_ELL"
     assert out.err.splitlines() == [
         "%s / %s: %s" % (a, b, message % ell)
-        for a, b, ell in (("b1", "m9", 44651), ("b1", "m12", 51133), ("m3", "m9", 44651),
-                          ("m3", "m12", 51133), ("m6", "m9", 44651), ("m6", "m12", 51133),
-                          ("m9", "m12", 44651))
+        for a, b, ell in (("m3", "m9", 44651), ("m3", "m12", 51133), ("m6", "m9", 44651),
+                          ("m6", "m12", 51133), ("m9", "m12", 44651))
     ]
-    assert out.out.count("congruence: Verified") == 3
+    assert out.out.count("congruence: Verified") == 5
+
+
+def test_j1728_count_above_the_ceiling_completes(capsys):
+    # member(5, 20) is Verified against its base y^2 = x^3 - 5x, and sigma0
+    # needs the base's trace at 108035999, above the default ceiling of 10^8.
+    # The base has j = 1728, so that trace is the O(log ell) closed form.
+    argv = ["analyze", "--e1", "[0,0,0,-5,0]", "--e2", "[0,0,0,539819995,216000002000]", "-p", "3", "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["s1"] == [108035999]
 
 
 def test_singular_input_is_a_usage_error(tmp_path, capsys):
@@ -538,3 +547,39 @@ def test_output_matches_golden(case, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
     assert code == case["exit"]
+
+
+NUMPY_FREE_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # makes every import of numpy raise ImportError
+import paritykit.cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = paritykit.cli.run(argv)
+    results.append([code, out.getvalue()])
+loaded = sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == "numpy" and mod)
+print(json.dumps({"results": results, "loaded": loaded, "key": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "open"])
+def test_runtime_never_imports_numpy(mode):
+    # numpy is a test-only oracle.  With numpy blocked, the README pair and
+    # the family scan still print their golden reports; left open, nothing
+    # imports it (sys.modules has no "numpy" key afterwards).
+    cases = [c for c in GOLDEN_CASES if c["stdout"] in ("analyze_69_897.json", "scan_family_d1.json")]
+    assert len(cases) == 2
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, mode, json.dumps([c["argv"] for c in cases])],
+        capture_output=True, text=True, env=_child_env(), cwd=DATA.parents[1], timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    for case, (code, out) in zip(cases, child["results"]):
+        assert code == case["exit"]
+        assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
+    assert child["loaded"] == []
+    assert child["key"] is (mode == "blocked")

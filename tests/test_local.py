@@ -183,6 +183,31 @@ def test_shared_table_kernel_matches_oracle():
             assert general_count(A, B, ell) == n, (A, B, ell)
 
 
+def test_small_prime_sum_matches_oracle_on_every_form():
+    # Below the crossover the kernel sums square roots from its own table.
+    # Every nonsingular (A, B) at each prime up to 31, B = 0 included, and the
+    # kernel's dispatch on the raw model too.
+    for ell in (q for q in range(5, 32) if is_prime_naive(q)):
+        for A in range(ell):
+            for B in range(ell):
+                if (4 * A**3 + 27 * B**2) % ell:
+                    expected = character_sum_count(A, B, ell)
+                    assert local._character_sum(A, B, ell) == expected, (A, B, ell)
+                    assert kernel_count(A, B, ell) == expected, (A, B, ell)
+
+
+def test_small_prime_sum_matches_oracle_below_the_crossover():
+    # Seeded forms at every prime below the crossover, where the sum serves.
+    rng = random.Random(231)
+    for ell in (q for q in range(5, local._BSGS_MIN_ELL) if is_prime_naive(q)):
+        checked = 0
+        while checked < 12:
+            A, B = rng.randrange(ell), rng.randrange(ell)
+            if (4 * A**3 + 27 * B**2) % ell:
+                assert local._character_sum(A, B, ell) == character_sum_count(A, B, ell), (A, B, ell)
+                checked += 1
+
+
 def test_j1728_formula_matches_oracles():
     # y^2 = x^3 + A*x for one A in each quartic residue class: against the
     # character-sum oracle at every prime below the crossover and below 5000,
@@ -223,6 +248,7 @@ def test_count_points_oracle_random_large_primes():
 
 
 def test_count_points_oracle_crossover_boundary():
+    # the last prime counted by the sum (229) and the first by Shanks-Mestre (233)
     lo = local._BSGS_MIN_ELL
     below = max(p for p in range(lo - 200, lo) if is_prime_naive(p))
     (at,) = primes_from(lo, 1)
@@ -483,7 +509,7 @@ else:
 
 def test_large_count_memory_stays_small():
     # A count at the family's largest bad prime must not build O(ell) arrays;
-    # importing numpy and paritykit alone peaks near 29 MB.
+    # importing paritykit alone peaks near 17 MB.
     src = str(pathlib.Path(paritykit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
