@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 
 from .arith import is_prime
 from .congruence import CongruenceStatus, check_congruence
@@ -97,14 +96,14 @@ def _print_text_report(report, out) -> None:
         out.write("hypothesis [%s]: %s\n" % (h.id, h.detail))
 
 
-def _deduce(report, bound: int | None) -> None:
-    """Set report.deduced when exactly one rank is known; ValueError when the
-    bound contradicts the forced parity."""
+def _deduce(report, bound: int | None):
+    """The report with deduced set when exactly one rank is known; ValueError
+    when the bound contradicts the forced parity."""
     r1, r2 = report.ranks
     if (r1 is None) == (r2 is None):
-        return
+        return report
     deduced = deduce_rank(r2 if r1 is None else r1, len(report.s1), len(report.s2), bound)
-    report.deduced = replace(deduced, curve="e2" if r2 is None else "e1")
+    return report._replace(deduced=deduced._replace(curve="e2" if r2 is None else "e1"))
 
 
 def _cmd_analyze(args) -> int:
@@ -146,7 +145,7 @@ def _cmd_analyze(args) -> int:
     report = parity_relation(e1, e2, p, rank1=rank1, rank2=rank2, verdict=verdict,
                              assume_congruent=args.assume_congruent, labels=tuple(labels))
     try:
-        _deduce(report, args.rank2_bound)
+        report = _deduce(report, args.rank2_bound)
     except ValueError as exc:
         print("rank deduction: %s" % exc, file=sys.stderr)
         return EXIT_VIOLATED
@@ -217,7 +216,7 @@ def _cmd_family(args) -> int:
         obj = {"D": args.D, "t": args.t, "coefficients": [str(a) for a in c.coefficients()]}
         sys.stdout.write(emit_json(obj))
     else:
-        sys.stdout.write("%s\n" % c)
+        sys.stdout.write("%s\n" % (c,))
     return EXIT_OK
 
 
@@ -253,7 +252,7 @@ def _cmd_scan(args) -> int:
             # past the scan may exceed the counting ceiling
             print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)
             continue
-        _deduce(report, None)
+        report = _deduce(report, None)
         emitted.append(report)
         if report.relation_holds is False:
             code = EXIT_VIOLATED

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
@@ -47,8 +47,7 @@ class CongruenceStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(NamedTuple):
     status: CongruenceStatus
     level: int | None
     bound: int | None

@@ -14,9 +14,9 @@ precision.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .congruence import CongruenceVerdict
 from .local import CurveData
@@ -27,13 +27,16 @@ _LINE_RE = re.compile(r"^(\S+)\s+(\d+|\?)\s+(\[[^\]]*\])\s+(\d+|\?)$")
 _BIG = 1 << 53
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class _Record(NamedTuple):
     label: str
     curve: CurveModel
     conductor: int | None
     rank: int | None
 
+
+class CurveRecord(_Record):
+    # A subclass, so that an instance has the __dict__ which data is cached in;
+    # equality and _replace stay those of the four fields.
     @cached_property
     def data(self) -> CurveData:
         return CurveData(self.curve)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _valuation, factor, is_prime, jacobi
 from .errors import ComputationLimitError
@@ -60,8 +60,7 @@ class ReductionType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Local invariants of a curve at one prime.
 
     trace follows the usual convention: the Frobenius trace at good primes,
@@ -104,8 +103,7 @@ class LocalData:
         return self.cond_exp - 1 if p == 3 and order3 else self.cond_exp
 
 
-@dataclass(frozen=True)
-class EulerPoly:
+class EulerPoly(NamedTuple):
     """Euler factor P_ell(X) as coefficients in ascending degree."""
 
     coeffs: tuple[int, ...]

@@ -13,15 +13,14 @@ ranks satisfy r_1 + |S_1| = r_2 + |S_2| (mod 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .congruence import CongruenceStatus, CongruenceVerdict
 from .local import CurveData, LocalData, ReductionType, euler_poly, is_supersingular
 from .weierstrass import CurveModel
 
 
-@dataclass(frozen=True)
-class DropEvidence:
+class DropEvidence(NamedTuple):
     ell: int
     e1_reasons: tuple[str, ...]
     e2_reasons: tuple[str, ...]
@@ -32,38 +31,33 @@ class DropEvidence:
         return bool(self.e1_reasons or self.e2_reasons)
 
 
-@dataclass(frozen=True)
-class SigmaData:
+class SigmaData(NamedTuple):
     p: int
     sigma: tuple[int, ...]
     sigma0: tuple[int, ...]
     evidence: dict[int, DropEvidence]
 
 
-@dataclass(frozen=True)
-class TauRecord:
+class TauRecord(NamedTuple):
     ell: int
     tau: int
     delta_parity: int
     matched_case: str
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     id: str
     detail: str
 
 
-@dataclass(frozen=True)
-class DeducedRank:
+class DeducedRank(NamedTuple):
     parity: str
     exact: int | None
     candidates: tuple[int, ...] | None
     curve: str | None = None
 
 
-@dataclass(kw_only=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     curves: tuple[CurveModel, CurveModel]
     conductors: tuple[int, int]
     p: int

@@ -7,15 +7,16 @@ applies them to Fractions, Tate's algorithm at 2 and 3 (local.py) to integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _valuation, factor, is_prime
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class CurveModel:
+
+class CurveModel(NamedTuple):
     """Integral Weierstrass model y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6."""
 
     a1: int
@@ -42,8 +43,7 @@ def parse_curve(text: str) -> CurveModel:
     return CurveModel(*(int(g) for g in m.groups()))
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     b2: int
     b4: int
     b6: int
@@ -81,8 +81,7 @@ def discriminant(c: CurveModel) -> int:
     return invariants(c).disc
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(NamedTuple):
     """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
 
     u: Fraction
@@ -92,6 +91,7 @@ class Isomorphism:
 
     @staticmethod
     def of(u, r=0, s=0, t=0) -> "Isomorphism":
+        from fractions import Fraction  # imported on use: fractions loads decimal
         return Isomorphism(Fraction(u), Fraction(r), Fraction(s), Fraction(t))
 
     def inverse(self) -> "Isomorphism":
@@ -118,6 +118,7 @@ def transform(c: CurveModel, iso: Isomorphism) -> CurveModel:
     """Apply a change of variables; the result must again be integral."""
     if iso.u == 0:
         raise ValueError("isomorphism scale factor u must be nonzero")
+    from fractions import Fraction
     a1, a2, a3, a4, a6 = _translate([Fraction(v) for v in c.coefficients()], iso.r, iso.s, iso.t)
     u = iso.u
     new = {"a1": a1 / u, "a2": a2 / u**2, "a3": a3 / u**3, "a4": a4 / u**4, "a6": a6 / u**6}
@@ -172,6 +173,7 @@ def _scale_exponent_at(c4: int, c6: int, disc: int, q: int) -> int:
 
 
 def _solve_isomorphism(c: CurveModel, target: CurveModel, u: int) -> Isomorphism:
+    from fractions import Fraction
     for uu in (Fraction(u), Fraction(-u)):
         s = (uu * target.a1 - c.a1) / 2
         r = (uu**2 * target.a2 - c.a2 + s * c.a1 + s * s) / 3

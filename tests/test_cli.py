@@ -549,10 +549,16 @@ def test_output_matches_golden(case, capsys, monkeypatch):
     assert code == case["exit"]
 
 
-NUMPY_FREE_RUN = """
+# numpy is a test-only oracle; dataclasses (which loads inspect) and fractions
+# (which loads decimal) cost milliseconds of start-up that every CLI call pays.
+AVOIDED_MODULES = ["numpy", "dataclasses", "inspect", "fractions", "decimal"]
+
+AVOIDING_RUN = """
 import contextlib, io, json, sys
+avoided = json.loads(sys.argv[3])
 if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None  # makes every import of numpy raise ImportError
+    for name in avoided:
+        sys.modules[name] = None  # makes every import of it raise ImportError
 import paritykit.cli
 results = []
 for argv in json.loads(sys.argv[2]):
@@ -560,20 +566,22 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = paritykit.cli.run(argv)
     results.append([code, out.getvalue()])
-loaded = sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == "numpy" and mod)
-print(json.dumps({"results": results, "loaded": loaded, "key": "numpy" in sys.modules}))
+loaded = sorted(name for name, mod in sys.modules.items() if name.split(".")[0] in avoided and mod)
+keys = [name for name in avoided if name in sys.modules]
+print(json.dumps({"results": results, "loaded": loaded, "keys": keys}))
 """
 
 
 @pytest.mark.parametrize("mode", ["blocked", "open"])
-def test_runtime_never_imports_numpy(mode):
-    # numpy is a test-only oracle.  With numpy blocked, the README pair and
-    # the family scan still print their golden reports; left open, nothing
-    # imports it (sys.modules has no "numpy" key afterwards).
+def test_runtime_never_imports_avoided_modules(mode):
+    # With every avoided module blocked, the README pair and the family scan
+    # still print their golden reports; left open, nothing imports any of
+    # them (sys.modules has none of their keys afterwards).
     cases = [c for c in GOLDEN_CASES if c["stdout"] in ("analyze_69_897.json", "scan_family_d1.json")]
     assert len(cases) == 2
+    argvs = json.dumps([c["argv"] for c in cases])
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN, mode, json.dumps([c["argv"] for c in cases])],
+        [sys.executable, "-c", AVOIDING_RUN, mode, argvs, json.dumps(AVOIDED_MODULES)],
         capture_output=True, text=True, env=_child_env(), cwd=DATA.parents[1], timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -582,4 +590,4 @@ def test_runtime_never_imports_numpy(mode):
         assert code == case["exit"]
         assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
     assert child["loaded"] == []
-    assert child["key"] is (mode == "blocked")
+    assert child["keys"] == (AVOIDED_MODULES if mode == "blocked" else [])

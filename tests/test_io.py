@@ -1,6 +1,5 @@
 """Curve file parsing/emission and report serialization."""
 
-import dataclasses
 import json
 
 import pytest
@@ -14,6 +13,7 @@ from paritykit.io import (
     parse_curve_file,
     report_object,
 )
+from paritykit.local import tate_local
 from paritykit.parity import DeducedRank, parity_relation
 from paritykit.weierstrass import CurveModel
 
@@ -116,9 +116,7 @@ def test_report_schema_shape():
 
 def test_report_deduced_block():
     report = make_report(rank2=None)
-    report.deduced = dataclasses.replace(
-        DeducedRank("odd", 1, (1,)), curve="e2"
-    )
+    report = report._replace(deduced=DeducedRank("odd", 1, (1,))._replace(curve="e2"))
     obj = report_object(report)
     assert obj["ranks"]["deduced"] == {
         "curve": "e2",
@@ -140,13 +138,25 @@ def test_emit_report_byte_deterministic():
 
 def test_emit_report_big_integers_as_strings():
     report = make_report()
-    report.congruence = dataclasses.replace(report.congruence, level=2**60 + 3)
+    report = report._replace(congruence=report.congruence._replace(level=2**60 + 3))
     text = emit_report(report)
     obj = json.loads(text)
     assert obj["congruence"]["level"] == str(2**60 + 3)
     # smaller integers stay numeric, booleans stay booleans
     assert obj["congruence"]["bound"] == 6720
     assert obj["relation"]["holds"] is True
+
+
+def test_records_are_immutable():
+    # Records are named tuples: a field cannot be assigned, and _replace
+    # builds a new record.
+    report = make_report()
+    for record, field in ((tate_local(E69, 3), "trace"), (E69, "a1"),
+                          (report.congruence, "level"), (report, "deduced")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert report._replace(deduced=DeducedRank("odd", None, None)).deduced is not None
+    assert report.deduced is None
 
 
 def test_cli_json_big_integers_as_strings(capsys):
