@@ -18,24 +18,47 @@ Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
 later steps of the run.  CurveData.trace serves each good trace and checks the
 counting ceiling, read once per call, even when the trace is stored.
+
+A long scan uses a second core.  Once the walk has passed the primes below
+local._BSGS_MIN_ELL with no mismatch, and when os.fork exists, the process may
+run on two CPUs, it has no other live thread and the counts still to do are
+worth a fork (_helper_split), it forks one child.  The child counts both
+curves' traces from a split prime up to the bound or the ceiling, and sends them back over a pipe; the parent walks the primes below the split
+meanwhile (the split halves the counting, weighted ell^(1/4) per count), then reads the child's counts and walks on in order, storing each
+through CurveData.trace as it reaches it.  So the verdict, the stored traces
+and every error are those of the serial walk: a prime the child did not send
+is counted by the parent, and a mismatch, abort or exception before the split
+kills and reaps the child.  There is no setting for this.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+import marshal
+import os
+import sys
+from bisect import bisect_left, bisect_right
 from math import prod
 from typing import NamedTuple
 
 from .arith import _PRIMES, factor, is_prime
 from .errors import ComputationLimitError
-from .local import CurveData, max_counting_prime
+from .local import _BSGS_MIN_ELL, CurveData, max_counting_prime
 from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
 # work, so bounds past a few tens of thousands stop being interactive.  The
 # scan walks arith._PRIMES, so the cap must stay within arith._TRIAL_LIMIT.
 _BOUND_CAP = 20000
+
+# A helper process costs a fork, a pipe and a reap: 2.4 ms, the median of 30
+# empty round trips after import paritykit.cli on a 2-vCPU VM.  Shanks-Mestre
+# takes about 8 us * ell^(1/4) per count there, and a j = 1728 curve almost
+# nothing, so this weight is 8-16 ms of counting: the family pair at D = 2
+# (weight 793) ran slower forked, D = 5 (4425) faster.
+_FORK_MIN_WORK = 2000.0
+# Share of that weight, the top of the range, that the helper counts.
+_HELPER_SHARE = 0.5
 
 
 class CongruenceStatus(enum.Enum):
@@ -86,6 +109,100 @@ def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, in
     return prod(ell**e for ell, e in level.items()), _sturm(level)
 
 
+def _helper_split(e1: CurveData, e2: CurveData, p: int, primes: list[int], start: int, ceiling: int) -> int | None:
+    """Index into primes from which a helper process counts the scan, or None to stay serial.
+
+    A helper needs os.fork, a second CPU this process may run on, and no
+    other live thread (a forked child holds a copy of only the calling
+    thread); threading is read from sys.modules, not imported.  It must also
+    be worth its round trip: the traces not yet stored at primes[start:] up to
+    the ceiling, weighted ell^(1/4) per count, must reach _FORK_MIN_WORK.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or len(cpus) < 2 or threading and threading.active_count() > 1:
+        return None
+    bad1, bad2 = e1.bad, e2.bad
+    cumulative = []
+    total = 0.0
+    for ell in primes[start : bisect_right(primes, ceiling)]:
+        n = (ell not in bad1 and ell not in e1.traces) + (ell not in bad2 and ell not in e2.traces)
+        if ell != p and n:
+            total += n * ell**0.25
+        cumulative.append(total)
+    if total < _FORK_MIN_WORK:
+        return None
+    return start + bisect_left(cumulative, total * (1 - _HELPER_SHARE)) + 1
+
+
+def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceiling: int) -> _Helper | None:
+    """A child that counts the traces at primes and sends {ell: (a1, a2)} for those compared.
+
+    a1 or a2 is None where that curve is bad.  The child stops at the first
+    error, the ceiling's included, and sends what it has; the parent counts
+    the rest and meets the error itself.  It leaves through os._exit, so it
+    runs no atexit handler and flushes no inherited buffer.  None when the
+    fork fails.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the parent counts every prime
+        pid = -1
+    if pid:
+        os.close(w)
+        if pid > 0:
+            return _Helper(pid, r)
+        os.close(r)
+        return None
+    try:
+        os.close(r)
+        found = {}
+        bad1, bad2 = e1.bad, e2.bad
+        try:
+            for ell in primes:
+                d1, d2 = bad1.get(ell), bad2.get(ell)
+                if ell != p and not (d1 and d2):
+                    found[ell] = (None if d1 else e1.trace(ell, ceiling), None if d2 else e2.trace(ell, ceiling))
+        except Exception:
+            pass  # the parent counts from here and raises the same error
+        data = memoryview(marshal.dumps(found))
+        while data:
+            data = data[os.write(w, data) :]
+    finally:
+        os._exit(0)
+
+
+class _Helper:
+    """The parent's end of _fork_helper: the child's pid and the pipe it writes to."""
+
+    def __init__(self, pid: int, fd: int) -> None:
+        self.pid, self.fd = pid, fd
+
+    def result(self) -> dict:
+        """What the child sent, read until it exits; {} if nothing readable."""
+        chunks = []
+        while chunk := os.read(self.fd, 1 << 16):
+            chunks.append(chunk)
+        self.close(kill=False)
+        try:
+            return marshal.loads(b"".join(chunks))
+        except (EOFError, ValueError, TypeError):
+            return {}
+
+    def close(self, kill: bool = True) -> None:
+        """Close the pipe and reap the child, killed first unless it is done; idempotent."""
+        if self.fd is None:
+            return
+        fd, self.fd = self.fd, None
+        os.close(fd)
+        if kill:
+            from signal import SIGKILL  # about 1 ms to import, so only on this path
+
+            os.kill(self.pid, SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> CongruenceVerdict:
     """Compare a_ell(E1) and a_ell(E2) mod p for all primes up to a Sturm bound.
 
@@ -123,38 +240,52 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
             )
     checked = 0
     structural = None
-    limit = bound if complete else _BOUND_CAP
+    primes = _PRIMES[: bisect_right(_PRIMES, bound if complete else _BOUND_CAP)]
     ceiling = max_counting_prime()
-    for ell in _PRIMES[: bisect_right(_PRIMES, limit)]:
-        d1, d2 = bad1.get(ell), bad2.get(ell)
-        if ell == p or d1 and d2:
-            continue
-        try:
-            a1 = None if d1 else e1.trace(ell, ceiling)
-            a2 = None if d2 else e2.trace(ell, ceiling)
-        except ComputationLimitError as exc:
-            notes.append("Scan aborted at %d: %s." % (ell, exc))
-            return CongruenceVerdict(
-                CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
-            )
-        if d1 or d2:
-            bad = d1 or d2
-            if bad.red_type.is_multiplicative:
-                # Compare against the Frobenius trace of the unramified
-                # semisimplified representation at a multiplicative prime: +-(ell + 1).
-                b = bad.trace * (ell + 1)
-            else:
-                structural = structural or ell
-                if bad.mod_p_cond_exp(p) < bad.cond_exp:
-                    continue
-                b = 0
-            a1, a2 = (b, a2) if d1 else (a1, b)
-        checked += 1
-        if (a1 - a2) % p != 0:
-            notes.append("First mismatch at ell = %d." % ell)
-            return CongruenceVerdict(
-                CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
-            )
+    start = bisect_left(primes, _BSGS_MIN_ELL)
+    split = helper = None
+    counted = {}
+    try:
+        for i, ell in enumerate(primes):
+            if i == start:
+                split = _helper_split(e1, e2, p, primes, start, ceiling)
+                if split is not None:
+                    helper = _fork_helper(e1, e2, p, primes[split:], ceiling)
+            elif i == split and helper is not None:
+                counted = helper.result()
+            d1, d2 = bad1.get(ell), bad2.get(ell)
+            if ell == p or d1 and d2:
+                continue
+            c1, c2 = counted.get(ell, (None, None))
+            try:
+                a1 = None if d1 else e1.trace(ell, ceiling, c1)
+                a2 = None if d2 else e2.trace(ell, ceiling, c2)
+            except ComputationLimitError as exc:
+                notes.append("Scan aborted at %d: %s." % (ell, exc))
+                return CongruenceVerdict(
+                    CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
+                )
+            if d1 or d2:
+                bad = d1 or d2
+                if bad.red_type.is_multiplicative:
+                    # Compare against the Frobenius trace of the unramified
+                    # semisimplified representation at a multiplicative prime: +-(ell + 1).
+                    b = bad.trace * (ell + 1)
+                else:
+                    structural = structural or ell
+                    if bad.mod_p_cond_exp(p) < bad.cond_exp:
+                        continue
+                    b = 0
+                a1, a2 = (b, a2) if d1 else (a1, b)
+            checked += 1
+            if (a1 - a2) % p != 0:
+                notes.append("First mismatch at ell = %d." % ell)
+                return CongruenceVerdict(
+                    CongruenceStatus.FAILED, level, bound, checked, (ell, a1, a2), " ".join(notes)
+                )
+    finally:
+        if helper is not None:
+            helper.close()
     if structural is not None:
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "

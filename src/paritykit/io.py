@@ -14,8 +14,8 @@ precision.
 from __future__ import annotations
 
 import re
+from _json import encode_basestring_ascii
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .congruence import CongruenceVerdict

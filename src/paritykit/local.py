@@ -497,16 +497,18 @@ class CurveData:
             self.traces[ell] = d.trace
         return d
 
-    def trace(self, ell: int, ceiling: int) -> int:
+    def trace(self, ell: int, ceiling: int, counted: int | None = None) -> int:
         """a_ell, counted from the model unless stored; ell must be good for the curve.
 
         ell must not divide the model's discriminant unless the bad-prime data
         stored its trace.  The ceiling is checked even when the trace is stored,
-        so a scan stops at the same prime cold or warm.
+        so a scan stops at the same prime cold or warm.  counted is a_ell as
+        counted elsewhere (by the Sturm scan's helper process), stored in place
+        of a count.
         """
         _check_ceiling(ell, ceiling)
         if ell not in self.traces:
-            self.traces[ell] = ell + 1 - _count_good(ell, self.model, self.inv)
+            self.traces[ell] = ell + 1 - _count_good(ell, self.model, self.inv) if counted is None else counted
         return self.traces[ell]
 
 

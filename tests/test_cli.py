@@ -550,8 +550,9 @@ def test_output_matches_golden(case, capsys, monkeypatch):
 
 
 # numpy is a test-only oracle; dataclasses (which loads inspect) and fractions
-# (which loads decimal) cost milliseconds of start-up that every CLI call pays.
-AVOIDED_MODULES = ["numpy", "dataclasses", "inspect", "fractions", "decimal"]
+# (which loads decimal) cost milliseconds of start-up that every CLI call pays,
+# and the Sturm scan's helper process is a bare os.fork, not a pool.
+AVOIDED_MODULES = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "concurrent"]
 
 AVOIDING_RUN = """
 import contextlib, io, json, sys
@@ -591,3 +592,14 @@ def test_runtime_never_imports_avoided_modules(mode):
         assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
     assert child["loaded"] == []
     assert child["keys"] == (AVOIDED_MODULES if mode == "blocked" else [])
+
+
+def test_cli_import_loads_no_json_package():
+    # The JSON writer needs only the C string encoder from _json; the json
+    # package would also load its decoder and scanner.  The check above cannot
+    # cover json, because its own harness imports it.
+    code = "import sys, paritykit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

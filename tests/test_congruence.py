@@ -156,7 +156,7 @@ def test_additive_against_good_is_never_verified(monkeypatch):
     # 27a is additive at 3 and 32a at 2.  With every good trace forced to
     # agree, each comparison up to the bound 8640 passes, yet the scan must
     # not certify the pair at p = 5: the first such prime, 2, rules it out.
-    monkeypatch.setattr(CurveData, "trace", lambda self, ell, ceiling: 0)
+    monkeypatch.setattr(CurveData, "trace", lambda self, ell, ceiling, counted=None: 0)
     v = check_congruence(CurveModel(0, 0, 1, 0, -7), E32, 5)
     assert (v.status, v.level, v.bound, v.witness) == (CongruenceStatus.INCONCLUSIVE, 21600, 8640, None)
     assert v.caveat.endswith(
@@ -473,7 +473,9 @@ def test_j1728_forms_skip_the_general_counters(monkeypatch):
     # The base curve y^2 = x^3 - 7x has B = 0 in its short form, so its traces
     # come from the j = 1728 formula.  The member's forms reach the character
     # sum below the crossover and Shanks-Mestre above it, except at the few
-    # primes where their B vanishes too.
+    # primes where their B vanishes too.  The recorder sees only this
+    # process, so the scan is kept from handing primes to a helper process.
+    monkeypatch.setattr(paritykit.congruence, "_helper_split", lambda *args: None)
     seen = []
     for name in ("_shanks_mestre", "_character_sum"):
         patch_everywhere(monkeypatch, local, name, recorder(seen))
