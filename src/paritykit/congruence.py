@@ -23,12 +23,14 @@ A long scan uses a second core.  Once the walk has passed the primes below
 local._BSGS_MIN_ELL with no mismatch, and when os.fork exists, the process may
 run on two CPUs, it has no other live thread and the counts still to do are
 worth a fork (_helper_split), it forks one child.  The child counts both
-curves' traces from a split prime up to the bound or the ceiling, and sends them back over a pipe; the parent walks the primes below the split
-meanwhile (the split halves the counting, weighted ell^(1/4) per count), then reads the child's counts and walks on in order, storing each
-through CurveData.trace as it reaches it.  So the verdict, the stored traces
-and every error are those of the serial walk: a prime the child did not send
-is counted by the parent, and a mismatch, abort or exception before the split
-kills and reaps the child.  There is no setting for this.
+curves' traces from a split prime up to the bound or the ceiling and sends
+them back over a pipe; the split halves the counting, weighted ell^(1/4) per
+count.  The parent walks the primes below the split meanwhile, then reads the
+child's counts and walks on in order, storing each through CurveData.trace as
+it reaches it.  So the verdict, the stored traces and every error are those
+of the serial walk: a prime the child did not send is counted by the parent,
+and a mismatch, abort or exception before the split kills and reaps the
+child.  There is no setting for this.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, in
     return prod(ell**e for ell, e in level.items()), _sturm(level)
 
 
-def _helper_split(e1: CurveData, e2: CurveData, p: int, primes: list[int], start: int, ceiling: int) -> int | None:
+def _helper_split(
+    e1: CurveData, e2: CurveData, p: int, primes: list[int], start: int, ceiling: int
+) -> int | None:
     """Index into primes from which a helper process counts the scan, or None to stay serial.
 
     A helper needs os.fork, a second CPU this process may run on, and no
@@ -148,13 +152,12 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceilin
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the parent counts every prime
-        pid = -1
+        os.close(r)
+        os.close(w)
+        return None
     if pid:
         os.close(w)
-        if pid > 0:
-            return _Helper(pid, r)
-        os.close(r)
-        return None
+        return _Helper(pid, r)
     try:
         os.close(r)
         found = {}
@@ -163,7 +166,8 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceilin
             for ell in primes:
                 d1, d2 = bad1.get(ell), bad2.get(ell)
                 if ell != p and not (d1 and d2):
-                    found[ell] = (None if d1 else e1.trace(ell, ceiling), None if d2 else e2.trace(ell, ceiling))
+                    a1 = None if d1 else e1.trace(ell, ceiling)
+                    found[ell] = (a1, None if d2 else e2.trace(ell, ceiling))
         except Exception:
             pass  # the parent counts from here and raises the same error
         data = memoryview(marshal.dumps(found))

@@ -508,7 +508,9 @@ class CurveData:
         """
         _check_ceiling(ell, ceiling)
         if ell not in self.traces:
-            self.traces[ell] = ell + 1 - _count_good(ell, self.model, self.inv) if counted is None else counted
+            if counted is None:
+                counted = ell + 1 - _count_good(ell, self.model, self.inv)
+            self.traces[ell] = counted
         return self.traces[ell]
 
 
