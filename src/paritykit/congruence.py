@@ -118,7 +118,10 @@ def _helper_split(
 
     A helper needs os.fork, a second CPU this process may run on, and no
     other live thread (a forked child holds a copy of only the calling
-    thread); threading is read from sys.modules, not imported.  It must also
+    thread); threading is read from sys.modules, not imported.  A thread that
+    threading does not know, such as a BLAS pool that numpy starts, is not
+    seen; the child runs only Python arithmetic, a pipe write and os._exit,
+    and takes no lock such a thread could hold.  It must also
     be worth its round trip: the traces not yet stored at primes[start:] up to
     the ceiling, weighted ell^(1/4) per count, must reach _FORK_MIN_WORK.
     """
