@@ -53,17 +53,21 @@ def _fmt_set(values) -> str:
     return "{%s}" % ", ".join(str(v) for v in sorted(values))
 
 
+def _fmt_verdict(v, witness_indent: str = "") -> str:
+    """The status line of a congruence verdict and, after a mismatch, its witness line."""
+    text = "%s (level %s, Sturm bound %s, %d primes compared)\n" % (
+        v.status, v.level, v.bound, v.checked_primes
+    )
+    if v.witness is not None:
+        text += "%switness: ell = %d, traces %d vs %d\n" % (witness_indent, *v.witness)
+    return text
+
+
 def _print_text_report(report, out) -> None:
     for name, c, label, n in zip(("E1", "E2"), report.curves, report.labels, report.conductors):
         out.write("%s = %s  (%s, N = %d)\n" % (name, c, label, n))
     out.write("p = %d\n" % report.p)
-    v = report.congruence
-    out.write(
-        "congruence: %s (level %s, Sturm bound %s, %d primes compared)\n"
-        % (v.status, v.level, v.bound, v.checked_primes)
-    )
-    if v.witness is not None:
-        out.write("  witness: ell = %d, traces %d vs %d\n" % v.witness)
+    out.write("congruence: " + _fmt_verdict(report.congruence, "  "))
     out.write("sigma  = %s\n" % _fmt_set(report.sigma_data.sigma))
     out.write("sigma0 = %s\n" % _fmt_set(report.sigma_data.sigma0))
     for ell in report.sigma_data.sigma0:
@@ -163,13 +167,7 @@ def _cmd_congruent(args) -> int:
     if args.json:
         sys.stdout.write(emit_json(verdict_object(verdict)))
     else:
-        sys.stdout.write(
-            "%s (level %s, Sturm bound %s, %d primes compared)\n"
-            % (verdict.status, verdict.level, verdict.bound, verdict.checked_primes)
-        )
-        if verdict.witness is not None:
-            sys.stdout.write("witness: ell = %d, traces %d vs %d\n" % verdict.witness)
-        sys.stdout.write("%s\n" % verdict.caveat)
+        sys.stdout.write("%s%s\n" % (_fmt_verdict(verdict), verdict.caveat))
     if verdict.status is CongruenceStatus.VERIFIED:
         return EXIT_OK
     if verdict.status is CongruenceStatus.FAILED:

@@ -22,21 +22,22 @@ counting ceiling, read once per call, even when the trace is stored.
 A long scan uses a second core.  Once the walk has passed the primes below
 local._BSGS_MIN_ELL with no mismatch, and when os.fork exists, the process may
 run on two CPUs, it has no other live thread and the counts still to do are
-worth a fork (_helper_split), it forks one child.  The child counts both
-curves' traces from a split prime up to the bound or the ceiling and sends
-them back over a pipe; the split halves the counting, weighted ell^(1/4) per
-count.  The parent walks the primes below the split meanwhile, then reads the
-child's counts and walks on in order, storing each through CurveData.trace as
-it reaches it.  So the verdict, the stored traces and every error are those
-of the serial walk: a prime the child did not send is counted by the parent,
-and a mismatch, abort or exception before the split kills and reaps the
-child.  There is no setting for this.
+worth a fork (_helper_pays), it forks one child.  The child counts both
+curves' traces from the bound or the ceiling, whichever is lower, down, and
+writes each compared prime's (ell, a1, a2) to a pipe as it goes.  The parent
+walks up as before and reads the pipe, without blocking, at each compared
+prime; from the lowest prime the child has sent up it stores the sent traces
+through CurveData.trace, so the two sides meet wherever their speeds put
+them.  There the parent closes the pipe, and the child leaves at its next
+write; the parent reaps it when the scan ends, also by a mismatch, an abort
+or an exception.  So the verdict, the stored traces and every error are
+those of the serial walk: a prime the child did not send is counted by the
+parent.  There is no setting for this.
 """
 
 from __future__ import annotations
 
 import enum
-import marshal
 import os
 import sys
 from bisect import bisect_left, bisect_right
@@ -59,8 +60,6 @@ _BOUND_CAP = 20000
 # nothing, so this weight is 8-16 ms of counting: the family pair at D = 2
 # (weight 793) ran slower forked, D = 5 (4425) faster.
 _FORK_MIN_WORK = 2000.0
-# Share of that weight, the top of the range, that the helper counts.
-_HELPER_SHARE = 0.5
 
 
 class CongruenceStatus(enum.Enum):
@@ -111,45 +110,41 @@ def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, in
     return prod(ell**e for ell, e in level.items()), _sturm(level)
 
 
-def _helper_split(
-    e1: CurveData, e2: CurveData, p: int, primes: list[int], start: int, ceiling: int
-) -> int | None:
-    """Index into primes from which a helper process counts the scan, or None to stay serial.
+def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> bool:
+    """Whether a helper process may and should count the scan's traces at primes.
 
     A helper needs os.fork, a second CPU this process may run on, and no
     other live thread (a forked child holds a copy of only the calling
     thread); threading is read from sys.modules, not imported.  A thread that
     threading does not know, such as a BLAS pool that numpy starts, is not
-    seen; the child runs only Python arithmetic, a pipe write and os._exit,
-    and takes no lock such a thread could hold.  It must also
-    be worth its round trip: the traces not yet stored at primes[start:] up to
-    the ceiling, weighted ell^(1/4) per count, must reach _FORK_MIN_WORK.
+    seen; the child runs only Python arithmetic, pipe writes and os._exit,
+    and takes no lock such a thread could hold.  It must also be worth its
+    round trip: the traces not yet stored at primes, weighted ell^(1/4) per
+    count, must reach _FORK_MIN_WORK.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or len(cpus) < 2 or threading and threading.active_count() > 1:
-        return None
+        return False
     bad1, bad2 = e1.bad, e2.bad
-    cumulative = []
-    total = 0.0
-    for ell in primes[start : bisect_right(primes, ceiling)]:
-        n = (ell not in bad1 and ell not in e1.traces) + (ell not in bad2 and ell not in e2.traces)
-        if ell != p and n:
-            total += n * ell**0.25
-        cumulative.append(total)
-    if total < _FORK_MIN_WORK:
-        return None
-    return start + bisect_left(cumulative, total * (1 - _HELPER_SHARE)) + 1
+    work = sum(
+        ((ell not in bad1 and ell not in e1.traces) + (ell not in bad2 and ell not in e2.traces))
+        * ell**0.25
+        for ell in primes
+        if ell != p
+    )
+    return work >= _FORK_MIN_WORK
 
 
 def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceiling: int) -> _Helper | None:
-    """A child that counts the traces at primes and sends {ell: (a1, a2)} for those compared.
+    """A child that counts the traces at primes, from the top down, and sends those compared.
 
-    a1 or a2 is None where that curve is bad.  The child stops at the first
-    error, the ceiling's included, and sends what it has; the parent counts
-    the rest and meets the error itself.  It leaves through os._exit, so it
-    runs no atexit handler and flushes no inherited buffer.  None when the
-    fork fails.
+    It writes one record of three C ints (ell, a1, a2) per compared prime, 0
+    in place of the trace of a curve bad at ell.  It stops at the first
+    error, the failed write to a pipe the parent has closed included; the
+    parent counts the rest and meets any error itself.  It leaves through
+    os._exit, so it runs no atexit handler and flushes no inherited buffer.
+    None when the fork fails.
     """
     r, w = os.pipe()
     try:
@@ -160,54 +155,56 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceilin
         return None
     if pid:
         os.close(w)
+        os.set_blocking(r, False)
         return _Helper(pid, r)
     try:
         os.close(r)
-        found = {}
         bad1, bad2 = e1.bad, e2.bad
-        try:
-            for ell in primes:
-                d1, d2 = bad1.get(ell), bad2.get(ell)
-                if ell != p and not (d1 and d2):
-                    a1 = None if d1 else e1.trace(ell, ceiling)
-                    found[ell] = (a1, None if d2 else e2.trace(ell, ceiling))
-        except Exception:
-            pass  # the parent counts from here and raises the same error
-        data = memoryview(marshal.dumps(found))
-        while data:
-            data = data[os.write(w, data) :]
+        record = memoryview(bytearray(12)).cast("i")
+        for ell in reversed(primes):
+            d1, d2 = bad1.get(ell), bad2.get(ell)
+            if ell != p and not (d1 and d2):
+                record[0] = ell
+                record[1] = 0 if d1 else e1.trace(ell, ceiling)
+                record[2] = 0 if d2 else e2.trace(ell, ceiling)
+                os.write(w, record)
     finally:
         os._exit(0)
 
 
 class _Helper:
-    """The parent's end of _fork_helper: the child's pid and the pipe it writes to."""
+    """The parent's end of _fork_helper: the child's pid, its pipe and the lowest prime it has sent."""
 
     def __init__(self, pid: int, fd: int) -> None:
         self.pid, self.fd = pid, fd
+        self.lowest = _BOUND_CAP + 1
+        self.partial = b""
 
-    def result(self) -> dict:
-        """What the child sent, read until it exits; {} if nothing readable."""
-        chunks = []
-        while chunk := os.read(self.fd, 1 << 16):
-            chunks.append(chunk)
-        self.close(kill=False)
-        try:
-            return marshal.loads(b"".join(chunks))
-        except (EOFError, ValueError, TypeError):
-            return {}
+    def read(self, sent: dict) -> int:
+        """Add the records that have arrived to sent, as {ell: (a1, a2)}, without blocking.
 
-    def close(self, kill: bool = True) -> None:
-        """Close the pipe and reap the child, killed first unless it is done; idempotent."""
+        Returns the lowest prime sent so far.  A record split across two
+        reads is completed by the next.  Once stopped, reads nothing.
+        """
         if self.fd is None:
-            return
-        fd, self.fd = self.fd, None
-        os.close(fd)
-        if kill:
-            from signal import SIGKILL  # about 1 ms to import, so only on this path
+            return self.lowest
+        try:
+            data = self.partial + os.read(self.fd, 1 << 16)
+        except BlockingIOError:
+            return self.lowest
+        whole = len(data) - len(data) % 12
+        self.partial = data[whole:]
+        values = iter(memoryview(data[:whole]).cast("i").tolist())
+        for ell, a1, a2 in zip(values, values, values):
+            sent[ell] = a1, a2
+            self.lowest = ell
+        return self.lowest
 
-            os.kill(self.pid, SIGKILL)
-        os.waitpid(self.pid, 0)
+    def stop(self) -> None:
+        """Close the pipe, so that the child's next write fails and it exits; idempotent."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
 
 
 def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> CongruenceVerdict:
@@ -250,20 +247,20 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
     primes = _PRIMES[: bisect_right(_PRIMES, bound if complete else _BOUND_CAP)]
     ceiling = max_counting_prime()
     start = bisect_left(primes, _BSGS_MIN_ELL)
-    split = helper = None
-    counted = {}
+    helper = None
+    sent = {}
     try:
         for i, ell in enumerate(primes):
             if i == start:
-                split = _helper_split(e1, e2, p, primes, start, ceiling)
-                if split is not None:
-                    helper = _fork_helper(e1, e2, p, primes[split:], ceiling)
-            elif i == split and helper is not None:
-                counted = helper.result()
+                ahead = primes[start : bisect_right(primes, ceiling)]
+                if _helper_pays(e1, e2, p, ahead):
+                    helper = _fork_helper(e1, e2, p, ahead, ceiling)
             d1, d2 = bad1.get(ell), bad2.get(ell)
             if ell == p or d1 and d2:
                 continue
-            c1, c2 = counted.get(ell, (None, None))
+            if helper is not None and helper.read(sent) <= ell:
+                helper.stop()  # reaped at the end, so the parent walks on while the child exits
+            c1, c2 = sent.get(ell, (None, None))
             try:
                 a1 = None if d1 else e1.trace(ell, ceiling, c1)
                 a2 = None if d2 else e2.trace(ell, ceiling, c2)
@@ -292,7 +289,8 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
                 )
     finally:
         if helper is not None:
-            helper.close()
+            helper.stop()
+            os.waitpid(helper.pid, 0)
     if structural is not None:
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "

@@ -503,8 +503,8 @@ class CurveData:
         ell must not divide the model's discriminant unless the bad-prime data
         stored its trace.  The ceiling is checked even when the trace is stored,
         so a scan stops at the same prime cold or warm.  counted is a_ell as
-        counted elsewhere (by the Sturm scan's helper process), stored in place
-        of a count.
+        the Sturm scan's helper process sent it, counting from the top of the
+        scan down; it is stored in place of a count, after the ceiling check.
         """
         _check_ceiling(ell, ceiling)
         if ell not in self.traces:

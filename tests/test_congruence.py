@@ -475,7 +475,7 @@ def test_j1728_forms_skip_the_general_counters(monkeypatch):
     # sum below the crossover and Shanks-Mestre above it, except at the few
     # primes where their B vanishes too.  The recorder sees only this
     # process, so the scan is kept from handing primes to a helper process.
-    monkeypatch.setattr(paritykit.congruence, "_helper_split", lambda *args: None)
+    monkeypatch.setattr(paritykit.congruence, "_helper_pays", lambda *args: False)
     seen = []
     for name in ("_shanks_mestre", "_character_sum"):
         patch_everywhere(monkeypatch, local, name, recorder(seen))
