@@ -3,13 +3,23 @@
 Exit codes: 0 success (relation holds or nothing to report), 1 relation
 violated or congruence Failed, 2 usage error, 3 computational limit exceeded.
 Diagnostics go to stderr; reports go to stdout.
+
+Every option is declared once, in ``_COMMANDS``.  ``run`` reads an argv of
+the exact form straight from that table: a command name, then options of that
+command each at most once and spelled in full, a flag alone and any other
+option followed by one value that does not start with "-" and that the
+option's converter accepts, with every required option present.  For such an
+argv argparse would return the same namespace.  Any other argv (help,
+abbreviations, ``--opt=value``, repeated options, negative values, errors)
+goes to argparse, which is imported and built from the same table only then,
+so every help text, error message and exit code is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+import types
 
 from .arith import is_prime
 from .congruence import CongruenceStatus, check_congruence
@@ -34,6 +44,8 @@ def _odd_prime(value: int) -> int:
 
 def _rank(text: str) -> int:
     if not text.isdecimal():
+        import argparse
+
         raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
     return int(text)
 
@@ -264,50 +276,98 @@ def _cmd_scan(args) -> int:
     return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command line.  A command maps to its handler, its help line and its
+# options; an option is (flag, converter, required, help), and the converter
+# None marks a flag, which takes no value.
+_CURVE_HELP = "curve literal [a1,a2,a3,a4,a6]"
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "full pipeline for one pair of curves", (
+        ("--e1", str, True, _CURVE_HELP),
+        ("--e2", str, True, _CURVE_HELP),
+        ("-p", int, True, "odd supersingular prime"),
+        ("--rank1", _rank, False, None),
+        ("--rank2", _rank, False, None),
+        ("--rank2-bound", _rank, False, None),
+        ("--assume-congruent", None, False, None),
+        ("--ranks-file", str, False, None),
+        ("--json", None, False, None),
+    )),
+    "congruent": (_cmd_congruent, "congruence check only", (
+        ("--e1", str, True, None),
+        ("--e2", str, True, None),
+        ("-p", int, True, None),
+        ("--json", None, False, None),
+    )),
+    "local-info": (_cmd_local_info, "reduction data for one curve", (
+        ("--curve", str, True, None),
+        ("--ell", int, False, None),
+        ("--json", None, False, None),
+    )),
+    "family": (_cmd_family, "print a family member", (
+        ("--D", int, True, None),
+        ("--t", int, True, None),
+        ("--json", None, False, None),
+    )),
+    "scan": (_cmd_scan, "all-pairs congruence scan over a curve file", (
+        ("--file", str, True, None),
+        ("-p", int, True, None),
+        ("--json", None, False, None),
+    )),
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute name that argparse derives from a lone option string."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _parse_exact(argv):
+    """The namespace of an argv of the exact form (module docstring), else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    converters = {flag: convert for flag, convert, _, _ in options}
+    args = {_dest(flag): None if convert else False for flag, convert in converters.items()}
+    args.update(command=argv[0], func=func)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in converters or flag in seen:
+            return None
+        seen.add(flag)
+        convert = converters[flag]
+        if convert is None:
+            args[_dest(flag)] = True
+            continue
+        value = next(tokens, "-")  # a missing value defers like a dash
+        if value.startswith("-"):
+            return None
+        try:
+            args[_dest(flag)] = convert(value)
+        except Exception:  # argparse calls the converter again and reports the error
+            return None
+    if any(required and flag not in seen for flag, _, required, _ in options):
+        return None
+    return types.SimpleNamespace(**args)
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="paritykit",
         description="Congruence and rank-parity analysis for elliptic curves "
         "supersingular at an odd prime.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    an = sub.add_parser("analyze", help="full pipeline for one pair of curves")
-    an.add_argument("--e1", required=True, help="curve literal [a1,a2,a3,a4,a6]")
-    an.add_argument("--e2", required=True, help="curve literal [a1,a2,a3,a4,a6]")
-    an.add_argument("-p", type=int, required=True, dest="p", help="odd supersingular prime")
-    an.add_argument("--rank1", type=_rank, default=None)
-    an.add_argument("--rank2", type=_rank, default=None)
-    an.add_argument("--rank2-bound", type=_rank, default=None, dest="rank2_bound")
-    an.add_argument("--assume-congruent", action="store_true")
-    an.add_argument("--ranks-file", default=None)
-    an.add_argument("--json", action="store_true")
-    an.set_defaults(func=_cmd_analyze)
-
-    co = sub.add_parser("congruent", help="congruence check only")
-    co.add_argument("--e1", required=True)
-    co.add_argument("--e2", required=True)
-    co.add_argument("-p", type=int, required=True, dest="p")
-    co.add_argument("--json", action="store_true")
-    co.set_defaults(func=_cmd_congruent)
-
-    li = sub.add_parser("local-info", help="reduction data for one curve")
-    li.add_argument("--curve", required=True)
-    li.add_argument("--ell", type=int, default=None)
-    li.add_argument("--json", action="store_true")
-    li.set_defaults(func=_cmd_local_info)
-
-    fa = sub.add_parser("family", help="print a family member")
-    fa.add_argument("--D", type=int, required=True)
-    fa.add_argument("--t", type=int, required=True)
-    fa.add_argument("--json", action="store_true")
-    fa.set_defaults(func=_cmd_family)
-
-    sc = sub.add_parser("scan", help="all-pairs congruence scan over a curve file")
-    sc.add_argument("--file", required=True)
-    sc.add_argument("-p", type=int, required=True, dest="p")
-    sc.add_argument("--json", action="store_true")
-    sc.set_defaults(func=_cmd_scan)
+    for name, (func, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, convert, required, help_opt in options:
+            if convert is None:
+                command.add_argument(flag, action="store_true", help=help_opt)
+            else:
+                command.add_argument(flag, type=convert, required=required, help=help_opt)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -318,7 +378,9 @@ def run(argv=None) -> int:
     # again.  Later calls in one process (tests) leave their garbage collectable.
     if not gc.get_freeze_count():
         gc.freeze()
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_exact(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ComputationLimitError as exc:

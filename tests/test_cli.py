@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, JSON output."""
 
+import itertools
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 import paritykit
 from paritykit import local
 from paritykit.arith import factor
-from paritykit.cli import run
+from paritykit.cli import _build_parser, _parse_exact, run
 from paritykit.errors import ComputationLimitError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -603,3 +605,158 @@ def test_cli_import_loads_no_json_package():
                           env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# run() reads an argv of the exact form from the option table and leaves any
+# other argv to argparse; the namespaces must agree wherever the table reads.
+
+
+def _readme_argvs():
+    """Every ``$ paritykit ...`` command of the README, continuation lines joined."""
+    lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    argvs = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ paritykit "):
+            command = line[2:]
+            while command.endswith("\\"):
+                i += 1
+                command = command[:-1] + lines[i]
+            argvs.append(shlex.split(command)[1:])
+    return argvs
+
+
+def _permuted(command, groups):
+    """The argv of command with its option groups in every order."""
+    return [[command, *itertools.chain(*order)] for order in itertools.permutations(groups)]
+
+
+def _exact_form_corpus():
+    corpus = [case["argv"] for case in GOLDEN_CASES] + _readme_argvs()
+    # the request shapes of the pair-cold and scan benchmarks, options permuted
+    corpus += _permuted("congruent", [["--e1", E32], ["--e2", E207], ["-p", "3"], ["--json"]])
+    corpus += _permuted("analyze", [["--e1", E69], ["--e2", E897], ["-p", "5"], ["--rank1", "0"],
+                                    ["--rank2", "1"], ["--json"]])
+    corpus += _permuted("analyze", [["--e1", E32], ["--e2", E207], ["-p", "3"], ["--rank1", "0"],
+                                    ["--rank2-bound", "1"], ["--json"]])
+    corpus += _permuted("scan", [["--file", "scan-triage-0.curves"], ["-p", "5"], ["--json"]])
+    return corpus
+
+
+def test_exact_form_parses_as_argparse_does():
+    assert len(_readme_argvs()) == 6
+    parser = _build_parser()
+    for argv in _exact_form_corpus():
+        fast = _parse_exact(argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(parser.parse_args(argv)), argv
+
+
+# argv left to argparse, each with the exact-form argv argparse reads it as
+NONCONGRUENT = ["--e1", E69, "--e2", E32]
+DEFERRED_ACCEPTED = [
+    (["congruent", *NONCONGRUENT, "-p", "5", "--js"], ["congruent", *NONCONGRUENT, "-p", "5", "--json"]),
+    (["congruent", "--e1=" + E69, "--e2", E32, "-p", "5"], ["congruent", *NONCONGRUENT, "-p", "5"]),
+    (["congruent", *NONCONGRUENT, "-p3"], ["congruent", *NONCONGRUENT, "-p", "3"]),
+    (["congruent", "--e1", E897, *NONCONGRUENT, "-p", "5"], ["congruent", *NONCONGRUENT, "-p", "5"]),
+]
+# argv that argparse answers with help or refuses
+DEFERRED_EXITS = [
+    ["congruent", "-h"],
+    ["congruent", "--e1", E69],
+    ["congruent", *NONCONGRUENT, "-p", "5", "--bogus"],
+    ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--rank1", "-1"],
+    ["analyze", "--e1", E69, "--e2", E897, "-p", "5", "--rank1", "one"],
+    ["family", "--D", "1", "--t", "x"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv, exact", DEFERRED_ACCEPTED)
+def test_other_spellings_go_to_argparse(argv, exact, capsys):
+    assert _parse_exact(argv) is None
+    assert vars(_build_parser().parse_args(argv)) == vars(_parse_exact(exact))
+    code = run(argv)
+    assert (code, *capsys.readouterr()) == (run(exact), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", DEFERRED_EXITS)
+def test_help_and_usage_errors_go_to_argparse(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_exact(argv) is None
+    with pytest.raises(SystemExit) as expected:
+        _build_parser().parse_args(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == expected.value.code
+    assert capsys.readouterr() == printed
+
+
+def test_a_negative_value_goes_to_argparse(capsys):
+    # argparse reads -3 as a value, since no option looks like a negative
+    # number, and the command then refuses it
+    argv = ["congruent", *NONCONGRUENT, "-p", "-3"]
+    assert _parse_exact(argv) is None
+    assert _build_parser().parse_args(argv).p == -3
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: p must be an odd prime, got -3\n")
+
+
+USAGE = DATA / "usage"
+USAGE_CASES = json.loads((USAGE / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=[c.get("stdout") or c["stderr"] for c in USAGE_CASES])
+def test_help_and_usage_errors_match_their_pinned_bytes(case, capsys, monkeypatch):
+    """Help texts and usage errors as argparse printed them before the table.
+
+    The files hold what the hand-built parser printed with COLUMNS=80 on
+    Python 3.11; the parser built from the option table must print the same.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(case["argv"])
+    assert exc.value.code == case["exit"]
+    out, err = capsys.readouterr()
+    expected = {"stdout": "", "stderr": ""}
+    for stream in expected:
+        if stream in case:
+            expected[stream] = (USAGE / case[stream]).read_text()
+    assert (out, err) == (expected["stdout"], expected["stderr"])
+
+
+# The modules that only help texts and usage errors need: argparse, the
+# gettext it translates its messages with, and the locale that gettext loads.
+PARSER_MODULES = ["argparse", "gettext", "locale"]
+
+CANONICAL_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import paritykit.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = paritykit.cli.run(argv)
+    results.append([code, out.getvalue()])
+added = sorted(set(sys.modules) - before)
+print(json.dumps({"results": results, "added": added}))
+"""
+
+
+def test_canonical_requests_load_no_argument_parser():
+    # Compared with the modules loaded before the import, so that a site hook
+    # that preloads one of them does not count against the CLI.
+    cases = [c for c in GOLDEN_CASES if c["stdout"] in ("congruent_32_207.json", "scan_congruent_pair.text")]
+    assert len(cases) == 2
+    proc = subprocess.run(
+        [sys.executable, "-c", CANONICAL_RUN, json.dumps([c["argv"] for c in cases])],
+        capture_output=True, text=True, env=_child_env(), cwd=DATA.parents[1], timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    for case, (code, out) in zip(cases, child["results"]):
+        assert code == case["exit"]
+        assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
+    assert "paritykit.cli" in child["added"]
+    assert [m for m in PARSER_MODULES if m in child["added"]] == []
