@@ -254,14 +254,8 @@ def _cmd_scan(args) -> int:
         if verdict.status is not CongruenceStatus.VERIFIED:
             print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
             continue
-        try:
-            report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
-                                     labels=(a.label, b.label))
-        except ComputationLimitError as exc:
-            # sigma0 needs the other curve's trace at each bad prime, and one
-            # past the scan may exceed the counting ceiling
-            print("%s / %s: %s" % (a.label, b.label, exc), file=sys.stderr)
-            continue
+        report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
+                                 labels=(a.label, b.label))
         report = _deduce(report, None)
         emitted.append(report)
         if report.relation_holds is False:

@@ -16,23 +16,21 @@ order 3 is unipotent on E[3] and leaves the semisimplified trace unknown, so
 such a prime is not compared.
 Each curve is read through a local.CurveData, built here for a bare model; a
 caller that passes its own keeps the bad primes and every trace counted for
-later steps of the run.  CurveData.trace serves each good trace and checks the
-counting ceiling, read once per call, even when the trace is stored.
+later steps of the run.  CurveData.trace serves each good trace.
 
 A long scan uses a second core.  Once the walk has passed the primes below
 local._BSGS_MIN_ELL with no mismatch, and when os.fork exists, the process may
 run on two CPUs, it has no other live thread and the counts still to do are
 worth a fork (_helper_pays), it forks one child.  The child counts both
-curves' traces from the bound or the ceiling, whichever is lower, down, and
-writes each compared prime's (ell, a1, a2) to a pipe as it goes.  The parent
-walks up as before and reads the pipe, without blocking, at each compared
-prime; from the lowest prime the child has sent up it stores the sent traces
-through CurveData.trace, so the two sides meet wherever their speeds put
-them.  There the parent closes the pipe, and the child leaves at its next
-write; the parent reaps it when the scan ends, also by a mismatch, an abort
-or an exception.  So the verdict, the stored traces and every error are
-those of the serial walk: a prime the child did not send is counted by the
-parent.  There is no setting for this.
+curves' traces from the bound down, and writes each compared prime's (ell,
+a1, a2) to a pipe as it goes.  The parent walks up as before and reads the
+pipe, without blocking, at each compared prime; from the lowest prime the
+child has sent up it stores the sent traces through CurveData.trace, so the
+two sides meet wherever their speeds put them.  There the parent closes the
+pipe, and the child leaves at its next write; the parent reaps it when the
+scan ends, also by a mismatch or an exception.  So the verdict, the stored
+traces and every error are those of the serial walk: a prime the child did
+not send is counted by the parent.  There is no setting for this.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ from math import prod
 from typing import NamedTuple
 
 from .arith import _PRIMES, factor, is_prime
-from .errors import ComputationLimitError
-from .local import _BSGS_MIN_ELL, CurveData, max_counting_prime
+from .local import _BSGS_MIN_ELL, CurveData
 from .weierstrass import CurveModel
 
 # A full scan costs roughly the sum of all primes below the bound in counting
@@ -136,7 +133,7 @@ def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> boo
     return work >= _FORK_MIN_WORK
 
 
-def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceiling: int) -> _Helper | None:
+def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> _Helper | None:
     """A child that counts the traces at primes, from the top down, and sends those compared.
 
     It writes one record of three C ints (ell, a1, a2) per compared prime, 0
@@ -165,8 +162,8 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int], ceilin
             d1, d2 = bad1.get(ell), bad2.get(ell)
             if ell != p and not (d1 and d2):
                 record[0] = ell
-                record[1] = 0 if d1 else e1.trace(ell, ceiling)
-                record[2] = 0 if d2 else e2.trace(ell, ceiling)
+                record[1] = 0 if d1 else e1.trace(ell)
+                record[2] = 0 if d2 else e2.trace(ell)
                 os.write(w, record)
     finally:
         os._exit(0)
@@ -245,30 +242,21 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
     checked = 0
     structural = None
     primes = _PRIMES[: bisect_right(_PRIMES, bound if complete else _BOUND_CAP)]
-    ceiling = max_counting_prime()
     start = bisect_left(primes, _BSGS_MIN_ELL)
     helper = None
     sent = {}
     try:
         for i, ell in enumerate(primes):
-            if i == start:
-                ahead = primes[start : bisect_right(primes, ceiling)]
-                if _helper_pays(e1, e2, p, ahead):
-                    helper = _fork_helper(e1, e2, p, ahead, ceiling)
+            if i == start and _helper_pays(e1, e2, p, primes[start:]):
+                helper = _fork_helper(e1, e2, p, primes[start:])
             d1, d2 = bad1.get(ell), bad2.get(ell)
             if ell == p or d1 and d2:
                 continue
             if helper is not None and helper.read(sent) <= ell:
                 helper.stop()  # reaped at the end, so the parent walks on while the child exits
             c1, c2 = sent.get(ell, (None, None))
-            try:
-                a1 = None if d1 else e1.trace(ell, ceiling, c1)
-                a2 = None if d2 else e2.trace(ell, ceiling, c2)
-            except ComputationLimitError as exc:
-                notes.append("Scan aborted at %d: %s." % (ell, exc))
-                return CongruenceVerdict(
-                    CongruenceStatus.INCONCLUSIVE, level, bound, checked, None, " ".join(notes)
-                )
+            a1 = None if d1 else e1.trace(ell, c1)
+            a2 = None if d2 else e2.trace(ell, c2)
             if d1 or d2:
                 bad = d1 or d2
                 if bad.red_type.is_multiplicative:

@@ -18,28 +18,27 @@ and count_points reads tate_local's trace.
 CurveData holds one curve's local data for one run: the model's invariants,
 the bad-prime data, factored on first use, the conductor, and a dict of the
 good traces counted so far, which only its methods write: local() through
-tate_local, and trace() for the Sturm scan in congruence.py.  tate_local
-reads the invariants from a CurveData, built for the call when given a bare
-model; it computes them again only for a model minimal at ell that it builds
-and, at 2 and 3, after moving the singular point to (0, 0).  A model is
-minimal and good at a prime that does not divide its discriminant, so trace()
-counts there straight from the model, with no primality proof, minimal model
-or Tate's algorithm.  Nothing outlives the CurveData: this module,
-weierstrass.py and arith.py keep no memo.
+tate_local, and trace() for the Sturm scan in congruence.py.  No setting caps
+the prime counted: tate_local and everything built on it take ell only through
+is_prime, which refuses ell >= 2^64, and the scan stops at
+congruence._BOUND_CAP.  tate_local reads the invariants from a CurveData,
+built for the call when given a bare model; it computes them again only for a
+model minimal at ell that it builds and, at 2 and 3, after moving the singular
+point to (0, 0).  A model is minimal and good at a prime that does not divide
+its discriminant, so trace() counts there straight from the model, with no
+primality proof, minimal model or Tate's algorithm.  Nothing outlives the
+CurveData: this module, weierstrass.py and arith.py keep no memo.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from typing import NamedTuple
 
 from .arith import _valuation, factor, is_prime, jacobi
-from .errors import ComputationLimitError
 from .weierstrass import CurveModel, Invariants, _minimal_at, _translate, invariants
 
-_DEFAULT_MAX_ELL = 10**8
 # Primes from here up are counted by Shanks-Mestre, below it by the character
 # sum.  Mestre's theorem makes the walk end with one group order only for
 # ell > 229, so this is the first prime it may serve.
@@ -119,28 +118,6 @@ class EulerPoly(NamedTuple):
                 x = "X" if i == 1 else "X^%d" % i
                 parts.append(("%dX" % a).replace("1X", x) if abs(a) == 1 else "%d%s" % (a, x))
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-def max_counting_prime() -> int:
-    """Point-counting ceiling; override with PARITYKIT_MAX_ELL."""
-    raw = os.environ.get("PARITYKIT_MAX_ELL")
-    if raw is None:
-        return _DEFAULT_MAX_ELL
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 5:
-        raise ValueError("PARITYKIT_MAX_ELL must be an integer >= 5, got %r" % raw)
-    return value
-
-
-def _check_ceiling(ell: int, ceiling: int) -> None:
-    if ell > ceiling:
-        raise ComputationLimitError(
-            "prime too large for point counting: %d exceeds the ceiling %d; "
-            "raise PARITYKIT_MAX_ELL" % (ell, ceiling)
-        )
 
 
 def count_points(c: CurveModel, ell: int) -> int:
@@ -433,10 +410,6 @@ def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     m, inv = _minimal_at(e.model, e.inv, ell)
     n = _valuation(inv.disc, ell)
     if n == 0:
-        # Only a count whose cost grows with ell meets the ceiling: the j = 1728
-        # closed form, for B = 0 mod ell, takes O(log ell).
-        if _short_form(inv)[1] % ell:
-            _check_ceiling(ell, max_counting_prime())
         trace = ell + 1 - _count_good(ell, m, inv)
         return LocalData(ell, ReductionType.GOOD, 0, 0, trace, "I0")
     if inv.c4 % ell != 0:
@@ -497,16 +470,15 @@ class CurveData:
             self.traces[ell] = d.trace
         return d
 
-    def trace(self, ell: int, ceiling: int, counted: int | None = None) -> int:
-        """a_ell, counted from the model unless stored; ell must be good for the curve.
+    def trace(self, ell: int, counted: int | None = None) -> int:
+        """a_ell, counted from the model unless stored; the Sturm scan is the only caller.
 
-        ell must not divide the model's discriminant unless the bad-prime data
-        stored its trace.  The ceiling is checked even when the trace is stored,
-        so a scan stops at the same prime cold or warm.  counted is a_ell as
-        the Sturm scan's helper process sent it, counting from the top of the
-        scan down; it is stored in place of a count, after the ceiling check.
+        ell must be a prime good for the curve, not dividing the model's
+        discriminant unless the bad-prime data stored its trace; nothing here
+        checks either.  counted is a_ell as the Sturm scan's helper process sent
+        it, counting from the top of the scan down; it is stored in place of a
+        count.
         """
-        _check_ceiling(ell, ceiling)
         if ell not in self.traces:
             if counted is None:
                 counted = ell + 1 - _count_good(ell, self.model, self.inv)

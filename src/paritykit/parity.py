@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .congruence import CongruenceStatus, CongruenceVerdict
-from .local import CurveData, LocalData, ReductionType, euler_poly, is_supersingular
+from .local import CurveData, LocalData, ReductionType, is_supersingular
 from .weierstrass import CurveModel
 
 
@@ -129,50 +129,32 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
     return SigmaData(p, sigma, sigma0, evidence)
 
 
-def _root_multiplicity(coeffs: tuple[int, ...], x0: int, p: int) -> int:
-    # Multiplicity of x0 as a root of the polynomial with ascending coeffs, mod p.
-    cs = [c % p for c in reversed(coeffs)]
-    mult = 0
-    while len(cs) > 1 or (cs and cs[0] != 0):
-        value = 0
-        for c in cs:
-            value = (value * x0 + c) % p
-        if value != 0:
-            break
-        quotient = []
-        acc = 0
-        for c in cs[:-1]:
-            acc = (acc * x0 + c) % p
-            quotient.append(acc)
-        cs = quotient
-        mult += 1
-    return mult
-
-
 def tau(d: LocalData, p: int) -> TauRecord:
-    """Multiplicity of X = 1/ell as a root of the Euler factor reduced mod p."""
-    if d.ell == p:
-        raise ValueError("tau is undefined at ell = p")
-    x0 = pow(d.ell, -1, p)
-    t = _root_multiplicity(euler_poly(d).coeffs, x0, p)
-    return TauRecord(d.ell, t, t % 2, _describe_case(d, p, t))
+    """Multiplicity of X = 1/ell as a root of the Euler factor reduced mod p.
 
-
-def _describe_case(d: LocalData, p: int, t: int) -> str:
+    1 - a*X + ell*X^2 = (1 - X)(1 - ell*X) when a = ell + 1 (mod p), so 1/ell
+    is a root iff a = ell + 1 and a double one iff also ell = 1 (mod p).
+    1 -+ X has the root 1/ell iff ell = +-1 (mod p); 1 has no root.
+    """
     ell = d.ell
+    if ell == p:
+        raise ValueError("tau is undefined at ell = p")
     if d.red_type is ReductionType.ADDITIVE:
-        return "additive: Euler factor 1, no root"
-    if d.red_type is ReductionType.GOOD:
-        if t == 1:
-            return "good with ell+1 = a_ell and ell != 1 (mod %d)" % p
-        if t == 2:
-            return "good with ell = 1 and a_ell = 2 (mod %d): double root" % p
-        return "good, 1/ell is not a root mod %d" % p
-    sign = "1" if d.red_type is ReductionType.SPLIT_MULTIPLICATIVE else "-1"
-    kind = "split" if d.red_type is ReductionType.SPLIT_MULTIPLICATIVE else "nonsplit"
-    if t == 1:
-        return "%s multiplicative with ell = %s (mod %d)" % (kind, sign, p)
-    return "%s multiplicative, 1/ell is not a root mod %d" % (kind, p)
+        t, case = 0, "additive: Euler factor 1, no root"
+    elif d.red_type is ReductionType.GOOD:
+        if (d.trace - ell - 1) % p:
+            t, case = 0, "good, 1/ell is not a root mod %d" % p
+        elif ell % p == 1:
+            t, case = 2, "good with ell = 1 and a_ell = 2 (mod %d): double root" % p
+        else:
+            t, case = 1, "good with ell+1 = a_ell and ell != 1 (mod %d)" % p
+    else:
+        kind = "split" if d.red_type is ReductionType.SPLIT_MULTIPLICATIVE else "nonsplit"
+        if (ell - d.trace) % p:
+            t, case = 0, "%s multiplicative, 1/ell is not a root mod %d" % (kind, p)
+        else:
+            t, case = 1, "%s multiplicative with ell = %d (mod %d)" % (kind, d.trace, p)
+    return TauRecord(ell, t, t % 2, case)
 
 
 def s_set(c: CurveModel | CurveData, sigma0, p: int) -> frozenset[int]:

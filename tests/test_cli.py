@@ -385,28 +385,10 @@ def test_scan_factors_each_record_once(tmp_path, monkeypatch, capsys):
     assert out.out == expected.out
 
 
-def test_scan_reports_a_pair_whose_sigma0_needs_a_count_above_the_ceiling(monkeypatch, capsys):
-    # Every pair is Verified at the reduced level (bound 96), which drops the
-    # multiplicative primes 44651 of m9 and 51133 of m12.  sigma0 then needs
-    # the other curve's trace there, above the ceiling: the pair is reported
-    # and the scan goes on.  b1 has j = 1728, whose closed-form count is not
-    # held to the ceiling, so its pairs with m9 and m12 complete.
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "1000")
-    assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
-    out = capsys.readouterr()
-    message = "prime too large for point counting: %d exceeds the ceiling 1000; raise PARITYKIT_MAX_ELL"
-    assert out.err.splitlines() == [
-        "%s / %s: %s" % (a, b, message % ell)
-        for a, b, ell in (("m3", "m9", 44651), ("m3", "m12", 51133), ("m6", "m9", 44651),
-                          ("m6", "m12", 51133), ("m9", "m12", 44651))
-    ]
-    assert out.out.count("congruence: Verified") == 5
-
-
 def test_j1728_count_above_the_ceiling_completes(capsys):
     # member(5, 20) is Verified against its base y^2 = x^3 - 5x, and sigma0
-    # needs the base's trace at 108035999, above the default ceiling of 10^8.
-    # The base has j = 1728, so that trace is the O(log ell) closed form.
+    # needs the base's trace at 108035999, above 10^8, where counting was once
+    # capped.  The base has j = 1728, so that trace is the O(log ell) closed form.
     argv = ["analyze", "--e1", "[0,0,0,-5,0]", "--e2", "[0,0,0,539819995,216000002000]", "-p", "3", "--json"]
     assert run(argv) == 0
     assert json.loads(capsys.readouterr().out)["s1"] == [108035999]
@@ -442,23 +424,42 @@ def test_scan_missing_file(capsys):
     capsys.readouterr()
 
 
-def test_limit_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
-    code = run(["analyze", "--e1", E69, "--e2", E897, "-p", "5"])
+def test_limit_exit_code(capsys):
+    # The D = 35 family pair (t = 3) has Sturm bound 322560 even at the
+    # reduced level, so the scan stops clean at the cap, Inconclusive.
+    code = run(["analyze", "--e1", "[0,0,0,-35,0]", "--e2", "[0,0,0,93569140,39382417200]", "-p", "3"])
     out = capsys.readouterr()
     assert code == 3
+    assert out.out == ""
     assert "Inconclusive" in out.err
+    assert "exceeds the scan cap 20000" in out.err
 
 
-def test_limit_error_outside_the_scan_exits_3(capsys, monkeypatch):
-    # local-info counts at 101 directly; the limit error reaches cli.run.
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
-    assert run(["local-info", "--curve", "[0,-1,1,-10,-20]", "--ell", "101"]) == 3
+def test_limit_error_outside_the_scan_exits_3(capsys):
+    # 2^64 + 13, the first prime from 2^64 up, is past the range of is_prime,
+    # the one bound on the prime that local-info counts at.
+    assert run(["local-info", "--curve", "[0,-1,1,-10,-20]", "--ell", "18446744073709551629"]) == 3
     assert capsys.readouterr() == (
         "",
-        "computational limit: prime too large for point counting: 101 exceeds the "
-        "ceiling 100; raise PARITYKIT_MAX_ELL\n",
+        "computational limit: is_prime: 18446744073709551629 is out of supported range (< 2**64)\n",
     )
+
+
+def test_a_leftover_counting_ceiling_setting_changes_nothing():
+    # PARITYKIT_MAX_ELL once capped the prime counted at; a value left in a
+    # caller's environment must not change any output.
+    (case,) = [c for c in GOLDEN_CASES if c["stdout"] == "analyze_69_897.json"]
+    runs = []
+    for value in (None, "5"):
+        env = _child_env()
+        env.pop("PARITYKIT_MAX_ELL", None)
+        if value is not None:
+            env["PARITYKIT_MAX_ELL"] = value
+        proc = subprocess.run([sys.executable, "-m", "paritykit.cli", *case["argv"]], capture_output=True,
+                              env=env, cwd=DATA.parents[1], timeout=60)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[1] == runs[0]
+    assert runs[0][:2] == (case["exit"], (GOLDEN / case["stdout"]).read_bytes())
 
 
 def test_missing_subcommand_is_usage_error():

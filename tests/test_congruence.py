@@ -145,18 +145,11 @@ def test_rejects_bad_modulus():
             check_congruence(E69, E897, p)
 
 
-def test_ceiling_abort_is_inconclusive(monkeypatch):
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "5")
-    v = check_congruence(E69, E897, 5)
-    assert v.status is CongruenceStatus.INCONCLUSIVE
-    assert "aborted" in v.caveat
-
-
 def test_additive_against_good_is_never_verified(monkeypatch):
     # 27a is additive at 3 and 32a at 2.  With every good trace forced to
     # agree, each comparison up to the bound 8640 passes, yet the scan must
     # not certify the pair at p = 5: the first such prime, 2, rules it out.
-    monkeypatch.setattr(CurveData, "trace", lambda self, ell, ceiling, counted=None: 0)
+    monkeypatch.setattr(CurveData, "trace", lambda self, ell, counted=None: 0)
     v = check_congruence(CurveModel(0, 0, 1, 0, -7), E32, 5)
     assert (v.status, v.level, v.bound, v.witness) == (CongruenceStatus.INCONCLUSIVE, 21600, 8640, None)
     assert v.caveat.endswith(
@@ -490,26 +483,6 @@ def test_j1728_forms_skip_the_general_counters(monkeypatch):
     assert general == expected
     assert min(general) < local._BSGS_MIN_ELL <= max(general)
     assert len(forms) == len(expected)
-
-
-def test_ceiling_aborts_at_the_same_prime_with_warm_tables(monkeypatch):
-    # 13 is multiplicative for 897d, so ceiling 12 stops at a prime bad for one curve.
-    # The warm run reuses the CurveData objects that the full scan filled.
-    for ceiling, ell in ((5, 7), (12, 13)):
-        data = CurveData(E69), CurveData(E897)
-        monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-        cold = check_congruence(*data, 5)
-        monkeypatch.delenv("PARITYKIT_MAX_ELL")
-        assert check_congruence(*data, 5).status is CongruenceStatus.VERIFIED
-        assert all(len(d.traces) > 800 for d in data)
-        monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
-        warm = check_congruence(*data, 5)
-        assert warm == cold
-        assert warm.status is CongruenceStatus.INCONCLUSIVE
-        assert warm.caveat.endswith(
-            "Scan aborted at %d: prime too large for point counting: %d exceeds the "
-            "ceiling %d; raise PARITYKIT_MAX_ELL." % (ell, ell, ceiling)
-        )
 
 
 def test_prime_bad_for_the_other_curve_reuses_the_stored_trace(monkeypatch):

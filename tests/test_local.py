@@ -1,5 +1,7 @@
 """Local data: point counts, Tate's algorithm, conductors, supersingularity."""
 
+import contextlib
+import io
 import math
 import os
 import pathlib
@@ -13,7 +15,7 @@ import pytest
 
 import paritykit
 from paritykit import arith, local
-from paritykit.errors import ComputationLimitError
+from paritykit.cli import run
 from paritykit.local import (
     CurveData,
     LocalData,
@@ -23,7 +25,6 @@ from paritykit.local import (
     count_points,
     euler_poly,
     is_supersingular,
-    max_counting_prime,
     tate_local,
 )
 from paritykit.weierstrass import CurveModel, discriminant, invariants, minimal_model_at
@@ -441,6 +442,23 @@ def test_killing_orders_match_brute_force():
                 assert local._killing_orders(pt, a, q, lo, hi) == expected, (q, a, pt, lo, hi)
 
 
+def assert_group_order(A, B, ell, n, rng):
+    """n = #E(F_ell) for E: y^2 = x^3 + A*x + B, checked without enumerating.
+
+    Hasse, n*P = O at points of E, and (2*ell + 2 - n)*Q = O but n*Q != O at
+    points of the quadratic twist y^2 = x^3 + A*g^2*x + B*g^3, g a nonsquare.
+    """
+    A, B = A % ell, B % ell
+    assert (ell + 1 - n) ** 2 <= 4 * ell
+    for P in _points(A, B, ell, rng, 4):
+        assert _proj_mul(n, P, A, ell)[2] == 0
+    g = next(g for g in range(2, ell) if pow(g, (ell - 1) // 2, ell) == ell - 1)
+    twist_a, twist_b = A * g * g % ell, B * g**3 % ell
+    for Q in _points(twist_a, twist_b, ell, rng, 4):
+        assert _proj_mul(2 * ell + 2 - n, Q, twist_a, ell)[2] == 0
+        assert _proj_mul(n, Q, twist_a, ell)[2] != 0
+
+
 def test_count_points_near_default_ceiling():
     # 99999989 is the last prime below 10^8, where the O(ell) oracle would
     # take seconds and hundreds of MB.  Check instead: Hasse, N*P = O on E,
@@ -451,16 +469,9 @@ def test_count_points_near_default_ceiling():
     start = time.perf_counter()
     n = count_points(E32, ell)
     assert time.perf_counter() - start < 1.0
-    a = ell + 1 - n
-    assert a * a <= 4 * ell
     rng = random.Random(229)
-    for P in _points(-1, 0, ell, rng, 4):
-        assert _proj_mul(n, P, -1, ell)[2] == 0
-    g = next(g for g in range(2, ell) if pow(g, (ell - 1) // 2, ell) == ell - 1)
-    twist_a = -g * g % ell  # y^2 = x^3 - g^2*x
-    for Q in _points(twist_a, 0, ell, rng, 4):
-        assert _proj_mul(2 * ell + 2 - n, Q, twist_a, ell)[2] == 0
-        assert _proj_mul(n, Q, twist_a, ell)[2] != 0
+    assert_group_order(-1, 0, ell, n, rng)
+    a = ell + 1 - n
     # ell = u^2 + v^2 by Cornacchia from a square root of -1
     r0, r1 = ell, _sqrt_mod(ell - 1, ell)
     while r1 * r1 > ell:
@@ -474,17 +485,10 @@ def test_count_points_near_default_ceiling():
     start = time.perf_counter()
     assert local._shanks_mestre(ell - 1, 0, ell) == n
     assert time.perf_counter() - start < 1.0
-    A, B = (t % ell for t in local._short_form(invariants(E11)))
     start = time.perf_counter()
     n11 = count_points(E11, ell)
     assert time.perf_counter() - start < 1.0
-    assert (ell + 1 - n11) ** 2 <= 4 * ell
-    for P in _points(A, B, ell, rng, 4):
-        assert _proj_mul(n11, P, A, ell)[2] == 0
-    twist_a, twist_b = A * g * g % ell, B * g**3 % ell
-    for Q in _points(twist_a, twist_b, ell, rng, 4):
-        assert _proj_mul(2 * ell + 2 - n11, Q, twist_a, ell)[2] == 0
-        assert _proj_mul(n11, Q, twist_a, ell)[2] != 0
+    assert_group_order(*local._short_form(invariants(E11)), ell, n11, rng)
 
 
 PEAK_RSS_KIB = """
@@ -507,18 +511,65 @@ else:
 """
 
 
-def test_large_count_memory_stays_small():
-    # A count at the family's largest bad prime must not build O(ell) arrays;
-    # importing paritykit alone peaks near 17 MB.
+def child_env():
+    """Environment that imports paritykit from the same directory as this process."""
     src = str(pathlib.Path(paritykit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_large_count_memory_stays_small():
+    # A count at the family's largest bad prime must not build O(ell) arrays;
+    # importing paritykit alone peaks near 17 MB.
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_KIB], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", PEAK_RSS_KIB], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / 1024
     assert peak_mb < 64, peak_mb
+
+
+def test_local_info_counts_above_10_8():
+    # Counting was once capped at 10^8; E11's count at the next prime is
+    # checked as test_count_points_near_default_ceiling checks its own.
+    ell = 100000007
+    assert is_prime_naive(ell)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["local-info", "--curve", "[0,-1,1,-10,-20]", "--ell", str(ell)]) == 0
+    assert out.getvalue() == "ell %d: Good, cond_exp 0, v_disc 0, trace 4268, kodaira I0\n" % ell
+    assert_group_order(*local._short_form(invariants(E11)), ell, ell + 1 - 4268, random.Random(ell))
+
+
+LARGEST_COUNT = """
+import time
+from paritykit.local import count_points
+from paritykit.weierstrass import CurveModel
+ell = 18446744073709551557  # the largest prime below 2^64
+start = time.perf_counter()
+n = count_points(CurveModel(0, -1, 1, -10, -20), ell)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(n, seconds, peak_kib)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_count_below_2_64_stays_within_budget():
+    # is_prime refuses ell >= 2^64, so this is the largest count any command
+    # can ask for.  Measured on a 2-vCPU VM: 1.1 s and a 51 MB peak, of which
+    # importing paritykit is 15 MB; 2.8 s and 59 MB under -X dev.
+    ell = 18446744073709551557
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGEST_COUNT], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, seconds, peak_kib = proc.stdout.split()
+    assert (ell + 1 - int(n)) ** 2 <= 4 * ell
+    assert float(seconds) < 10, seconds
+    assert int(peak_kib) / 1024 < 96, peak_kib
 
 
 def test_count_points_input_gates():
@@ -542,23 +593,6 @@ def test_singular_models_are_rejected():
                     probe(c, ell)
             with pytest.raises(ValueError, match="10 is not a prime"):
                 probe(c, 10)
-
-
-def test_counting_ceiling(monkeypatch):
-    assert max_counting_prime() == 10**8
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "100")
-    assert max_counting_prime() == 100
-    message = (
-        "prime too large for point counting: 101 exceeds the ceiling 100; "
-        "raise PARITYKIT_MAX_ELL"
-    )
-    for probe in (count_points, tate_local, is_supersingular):
-        with pytest.raises(ComputationLimitError, match=message):
-            probe(E11, 101)
-    assert count_points(E11, 97) > 0
-    monkeypatch.setenv("PARITYKIT_MAX_ELL", "4")
-    with pytest.raises(ValueError):
-        max_counting_prime()
 
 
 def test_tate_good_prime():

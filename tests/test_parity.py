@@ -6,7 +6,7 @@ import random
 import pytest
 
 from paritykit.congruence import check_congruence
-from paritykit.local import CurveData, LocalData, ReductionType, is_supersingular, tate_local
+from paritykit.local import CurveData, LocalData, ReductionType, euler_poly, is_supersingular, tate_local
 from paritykit.parity import (
     compute_sigma0,
     deduce_rank,
@@ -71,6 +71,44 @@ def test_tau_exhaustive_against_closed_form():
                 d = mult_local(ell, split)
                 assert tau(d, p).tau == oracle_tau(d, p), (p, ell, split)
             assert tau(additive_local(ell), p).tau == 0
+
+
+def root_multiplicity(coeffs, x0, p):
+    """Multiplicity of x0 as a root mod p of the polynomial with ascending coeffs.
+
+    Divides by X - x0 (synthetic division) while the value at x0 is 0; shares
+    nothing with tau's case split.
+    """
+    cs = [c % p for c in reversed(coeffs)]
+    mult = 0
+    while any(cs):
+        value = 0
+        for c in cs:
+            value = (value * x0 + c) % p
+        if value:
+            break
+        quotient, acc = [], 0
+        for c in cs[:-1]:
+            acc = (acc * x0 + c) % p
+            quotient.append(acc)
+        cs = quotient
+        mult += 1
+    return mult
+
+
+def test_tau_is_the_root_multiplicity_in_every_residue_class():
+    # Every class of ell mod p, through the first two primes in it, and every
+    # class of a_ell mod p; the Euler factor is euler_poly's.
+    for p in (3, 5, 7, 11, 13):
+        primes = [ell for ell in small_primes(400) if ell != p]
+        for r in range(1, p):
+            for ell in [ell for ell in primes if ell % p == r][:2]:
+                cases = [good_local(ell, a) for a in range(-p, p)]
+                cases += [mult_local(ell, True), mult_local(ell, False), additive_local(ell)]
+                for d in cases:
+                    expected = root_multiplicity(euler_poly(d).coeffs, pow(ell, -1, p), p)
+                    rec = tau(d, p)
+                    assert (rec.ell, rec.tau, rec.delta_parity) == (ell, expected, expected % 2), (p, d)
 
 
 def test_tau_double_root_case():

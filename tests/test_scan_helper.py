@@ -199,17 +199,13 @@ def kernel_error(ell, m, n):
     raise ArithmeticError("Hasse bound violated at %d (internal error)" % ell)
 
 
-@pytest.mark.parametrize("at, action, ceiling, status", [
-    (None, None, None, CongruenceStatus.VERIFIED),
-    (EARLY, wrong_trace_of_897, None, CongruenceStatus.FAILED),
-    (LATE, wrong_trace_of_897, None, CongruenceStatus.FAILED),
-    (None, None, 4000, CongruenceStatus.INCONCLUSIVE),
-    (None, None, 1000, CongruenceStatus.INCONCLUSIVE),
-], ids=["verified", "early-failed", "late-failed", "ceiling-in-helper-range", "ceiling-below-split"])
-def test_forced_split_equals_the_serial_scan(at, action, ceiling, status, forks, monkeypatch):
+@pytest.mark.parametrize("at, action, status", [
+    (None, None, CongruenceStatus.VERIFIED),
+    (EARLY, wrong_trace_of_897, CongruenceStatus.FAILED),
+    (LATE, wrong_trace_of_897, CongruenceStatus.FAILED),
+], ids=["verified", "early-failed", "late-failed"])
+def test_forced_split_equals_the_serial_scan(at, action, status, forks, monkeypatch):
     counted = patch_kernel(monkeypatch, at, action or (lambda ell, m, n: n))
-    if ceiling is not None:
-        monkeypatch.setenv("PARITYKIT_MAX_ELL", str(ceiling))
     forced(monkeypatch)
     fd = lowest_free_fd()
     data = CurveData(E69), CurveData(E897)
