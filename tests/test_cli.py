@@ -532,23 +532,26 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 def test_golden_files_and_cases_match_one_to_one():
     # A regeneration that renames or drops a case must not leave a stale file
     # behind, nor a case whose file is missing.
-    named = [case["stdout"] for case in GOLDEN_CASES]
+    named = {case[key] for case in GOLDEN_CASES for key in ("stdout", "stderr") if key in case}
     files = sorted(f.name for f in GOLDEN.iterdir() if f.name != "cases.json")
     assert sorted(named) == files
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["stdout"] for c in GOLDEN_CASES])
 def test_output_matches_golden(case, capsys, monkeypatch):
-    """Stdout and exit code of fixed commands, byte for byte.
+    """Stdout, exit code and, where named, stderr of fixed commands, byte for byte.
 
     cases.json gives each command's argv (paths relative to the repository
-    root), its exit code and the file holding its stdout.  The files are
-    regenerated only when an output change is intended.
+    root), its exit code, the file holding its stdout and, for a case that
+    names one, the file holding its stderr.  The files are regenerated only
+    when an output change is intended.
     """
     monkeypatch.chdir(DATA.parents[1])
     code = run(case["argv"])
-    out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / case["stdout"]).read_bytes()
+    if "stderr" in case:
+        assert captured.err.encode() == (GOLDEN / case["stderr"]).read_bytes()
     assert code == case["exit"]
 
 
