@@ -2,7 +2,9 @@
 
 Nothing is memoised: factor works out each factorization afresh, and a caller
 that needs one again keeps it (local.CurveData keeps a curve's bad primes for
-a run).  The only module state is the prime table _PRIMES, built at import.
+a run).  The only module state is built at import: the prime table _PRIMES,
+and _RUN_PRODUCTS, the product of each run of _RUN_LENGTH consecutive primes
+in it, which lets factor find the primes of a run that divide n with one gcd.
 """
 
 from __future__ import annotations
@@ -25,23 +27,26 @@ _IS_PRIME_BOUND = 2**64
 
 _TRIAL_LIMIT = 2**16
 _DEFAULT_FACTOR_BUDGET = 10.0
+# Primes per trial-division run: one gcd with the run's product replaces 128 divisions.
+_RUN_LENGTH = 128
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """Primes <= limit by Eratosthenes."""
+    """Primes <= limit by Eratosthenes over the odd numbers."""
     if limit < 2:
         return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return list(itertools.compress(range(limit + 1), flags))
+    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] stands for 2i + 1
+    flags[0] = 0
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:  # strike p^2, p^2 + 2p, ... at index (p^2 - 1) / 2 on, step p
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
 
 
 # Every prime up to _TRIAL_LIMIT, ascending: the trial divisors of factor and
 # the primes the Sturm scan walks (cut with bisect).
 _PRIMES = sieve_primes(_TRIAL_LIMIT)
+_RUN_PRODUCTS = [math.prod(_PRIMES[i : i + _RUN_LENGTH]) for i in range(0, len(_PRIMES), _RUN_LENGTH)]
 
 
 def jacobi(a: int, n: int) -> int:
@@ -171,12 +176,18 @@ def factor(n: int, time_budget: float | None = _DEFAULT_FACTOR_BUDGET) -> Factor
     n = abs(n)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     out: dict[int, int] = {}
-    for p in _PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            out[p] = _valuation(n, p)
-            n //= p ** out[p]
+    for start, product in zip(range(0, len(_PRIMES), _RUN_LENGTH), _RUN_PRODUCTS):
+        if _PRIMES[start] ** 2 > n:
+            break  # n has no prime factor below this run: it is 1 or prime
+        g = math.gcd(n, product)  # the product of the run's primes that divide n
+        i = start
+        while g > 1:
+            p = _PRIMES[i]
+            if g % p == 0:
+                g //= p
+                out[p] = _valuation(n, p)
+                n //= p ** out[p]
+            i += 1
     if n > 1:
         stack = [(n, 1)]  # (cofactor, multiplicity)
         while stack:

@@ -39,7 +39,6 @@ import enum
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from math import prod
 from typing import NamedTuple
 
 from .arith import _PRIMES, factor, is_prime
@@ -81,30 +80,32 @@ def sturm_bound(level: int) -> int:
     """ceil(index / 6) where index = level * prod(1 + 1/ell) over ell | level."""
     if level < 1:
         raise ValueError("level must be a positive integer")
-    return _sturm(dict(factor(level)))
+    return _sturm(dict(factor(level)))[1]
 
 
-def _sturm(level: dict[int, int]) -> int:
-    # Sturm bound of a level given as {prime: exponent}, exponents >= 1.
-    index = 1
+def _sturm(level: dict[int, int]) -> tuple[int, int]:
+    # (level, Sturm bound) of a level given as {prime: exponent}, exponents >= 1.
+    n = index = 1
     for ell, e in level.items():
+        n *= ell**e
         index *= ell ** (e - 1) * (ell + 1)
-    return -(-index // 6)
+    return n, -(-index // 6)
 
 
-def _sturm_level(bad1: dict, bad2: dict, p: int, reduced: bool) -> tuple[int, int]:
-    """(level, Sturm bound) for lcm(N1, N2, p^2), read off the bad-prime data.
+def _sturm_level(e1: CurveData, e2: CurveData, p: int, reduced: bool) -> tuple[int, int]:
+    """(level, Sturm bound) for lcm(N1, N2, p^2): the curves' exponents at p and {p: 2}, merged with max.
 
-    The reduced level drops the primes ell != p where E[p] is unramified
-    (LocalData.mod_p_cond_exp is 0: multiplicative with p | v_ell(min disc))
-    and keeps everything else.
+    CurveData.level_exponents(p) keeps each curve's conductor exponents once per
+    p.  The reduced level takes its second dict, which drops the primes ell != p
+    where E[p] is unramified (LocalData.mod_p_cond_exp is 0: multiplicative with
+    p | v_ell(min disc)) and keeps everything else.
     """
-    level = {p: 2}
-    for d in (*bad1.values(), *bad2.values()):
-        if reduced and d.ell != p and d.mod_p_cond_exp(p) == 0:
-            continue
-        level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
-    return prod(ell**e for ell, e in level.items()), _sturm(level)
+    x1, x2 = e1.level_exponents(p)[reduced], e2.level_exponents(p)[reduced]
+    level = {**x1, **x2}
+    for ell in x1.keys() & x2.keys():
+        level[ell] = max(x1[ell], x2[ell])
+    level[p] = max(level.get(p, 0), 2)
+    return _sturm(level)
 
 
 def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> bool:
@@ -221,10 +222,10 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
         "up to the stated bound; primes bad for both curves and ell = %d are skipped."
         % (p, p)
     ]
-    level, bound = _sturm_level(bad1, bad2, p, reduced=False)
+    level, bound = _sturm_level(e1, e2, p, reduced=False)
     complete = True
     if bound > _BOUND_CAP:
-        level, bound = _sturm_level(bad1, bad2, p, reduced=True)
+        level, bound = _sturm_level(e1, e2, p, reduced=True)
         notes.append(
             "Bound taken at the reduced level %d (multiplicative primes with "
             "p | v_ell(min disc) discarded) because the full level gives an "
@@ -241,14 +242,15 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
             )
     checked = 0
     structural = None
-    primes = _PRIMES[: bisect_right(_PRIMES, bound if complete else _BOUND_CAP)]
-    start = bisect_left(primes, _BSGS_MIN_ELL)
+    stop = bisect_right(_PRIMES, bound if complete else _BOUND_CAP)
+    start = bisect_left(_PRIMES, _BSGS_MIN_ELL)
     helper = None
     sent = {}
     try:
-        for i, ell in enumerate(primes):
-            if i == start and _helper_pays(e1, e2, p, primes[start:]):
-                helper = _fork_helper(e1, e2, p, primes[start:])
+        for i in range(stop):
+            ell = _PRIMES[i]
+            if i == start and _helper_pays(e1, e2, p, upper := _PRIMES[start:stop]):
+                helper = _fork_helper(e1, e2, p, upper)
             d1, d2 = bad1.get(ell), bad2.get(ell)
             if ell == p or d1 and d2:
                 continue

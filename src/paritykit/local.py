@@ -434,6 +434,9 @@ class CurveData:
     bad maps each prime of bad reduction, ascending, to its LocalData; the
     discriminant is factored on first use.  traces maps ell to a_ell at the
     good primes seen so far, whether counted by trace() or by local().
+    level_exponents(p) gives the conductor exponents that the Sturm level at
+    p reads, worked out once per p from bad, so that a scan pays for them per
+    curve rather than per pair.
     """
 
     def __init__(self, model: CurveModel) -> None:
@@ -443,6 +446,7 @@ class CurveData:
             raise ValueError("singular model: discriminant is zero")
         self.traces: dict[int, int] = {}
         self._bad: dict[int, LocalData] | None = None
+        self._level_exponents: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
 
     @staticmethod
     def of(c: CurveModel | CurveData) -> CurveData:
@@ -458,6 +462,18 @@ class CurveData:
     @property
     def conductor(self) -> int:
         return math.prod(ell**d.cond_exp for ell, d in self.bad.items())
+
+    def level_exponents(self, p: int) -> tuple[dict[int, int], dict[int, int]]:
+        """{ell: cond_exp} at the bad primes, and the same without each ell != p where E[p] is unramified.
+
+        The second dict leaves out the primes ell != p with
+        LocalData.mod_p_cond_exp(p) == 0.  Both are kept per p for later calls.
+        """
+        if p not in self._level_exponents:
+            full = {ell: d.cond_exp for ell, d in self.bad.items()}
+            reduced = {ell: e for ell, e in full.items() if ell == p or self.bad[ell].mod_p_cond_exp(p)}
+            self._level_exponents[p] = full, reduced
+        return self._level_exponents[p]
 
     def local(self, ell: int) -> LocalData:
         """tate_local at ell, served from the traces and bad-prime data when known."""

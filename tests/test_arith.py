@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from paritykit import arith
 from paritykit.arith import factor, is_prime, jacobi, sieve_primes, valuation
 from paritykit.errors import ComputationLimitError
 
@@ -24,6 +25,9 @@ def test_sieve_matches_trial_division():
     primes = [n for n in range(3001) if trial_division_prime(n)]
     for limit in range(3001):
         assert sieve_primes(limit) == [q for q in primes if q <= limit], limit
+    table = sieve_primes(2**16)
+    assert len(table) == 6542  # pi(2^16)
+    assert table[-1] == 65521
 
 
 def test_sieve_edge_cases():
@@ -133,6 +137,74 @@ def test_factor_prime_powers_skip_rho():
     assert factor((1000003 * q) ** 2, time_budget=0.5) == [(1000003, 2), (q, 2)]
 
 
+def trial_division_factor(n):
+    # independent oracle: divide |n| by 2 and by every odd d while d * d <= n
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def oracle_sample(rng, count):
+    """count seeded integers below 2^70 that the trial-division oracle settles by d = 2^17.
+
+    Each is a product of random integers below 2^17, some raised to a power,
+    times a random cofactor below 2^34: every prime factor but the largest is
+    then below 2^17, and the largest is below 2^34.
+    """
+    sample = []
+    while len(sample) < count:
+        n = rng.randrange(1, 2**34)
+        for _ in range(rng.randrange(0, 4)):
+            n *= rng.randrange(2, 2**17) ** rng.choice((1, 1, 1, 2, 3))
+        if n < 2**70:
+            sample.append(n * rng.choice((1, -1)))
+    return sample
+
+
+def run_boundary_values():
+    """Products and powers of the first and last prime of every trial-division run, and of 65521."""
+    runs = [arith._PRIMES[i : i + arith._RUN_LENGTH] for i in range(0, len(arith._PRIMES), arith._RUN_LENGTH)]
+    values = []
+    for k, run in enumerate(runs):
+        first, last = run[0], run[-1]
+        values += [first, last, first * last, first**2, last**3, first**2 * last, last * 65521,
+                   first * 65521**2, first * last * 1000000007]
+        if k:
+            values += [runs[k - 1][-1] * first, runs[k - 1][-1] ** 2 * first**2]
+    return values + [65521, 65521**2, 65521**4, 2 * 65521, 65521 * 65537]
+
+
+def small_factor_above_the_rest_values():
+    """n = q * m * p for a prime p, m < p and q below the first run: p^2 exceeds what is left of n when p is reached."""
+    values = []
+    for p in arith._PRIMES[:: arith._RUN_LENGTH // 4] + [65521]:
+        for m in {1, 2, p - 1, p - 2} - {0}:
+            values += [m * p, 3 * m * p, 2**5 * m * p]
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(lambda: oracle_sample(random.Random(70), 1500), id="seeded-below-2^70"),
+    pytest.param(run_boundary_values, id="run-boundaries"),
+    pytest.param(small_factor_above_the_rest_values, id="small-factor-above-the-rest"),
+    pytest.param(lambda: [1, -1] + [s * 2**k for k in range(1, 90) for s in (1, -1)], id="units-and-powers-of-2"),
+])
+def test_factor_matches_trial_division(values):
+    for n in values():
+        assert factor(n) == trial_division_factor(n), n
+
+
 BOUNDARY_VALUES = (
     999983**2 * 1000003,
     1000003 * 1000033,
@@ -144,6 +216,11 @@ BOUNDARY_VALUES = (
     65521 * 65537,
     65521**3 * 65537**2,
     2 * 65537 * 999983 * 1000000007,
+    # across the boundaries of the runs of 128 primes that factor divides by
+    # with one gcd: 719 ends the first run and 727 starts the second; 65357
+    # ends the 51st and 65371 starts the last
+    719 * 727 * 1000000007,
+    65357**2 * 65371 * 65521,
 )
 
 

@@ -1,6 +1,7 @@
 """Congruence verification and Sturm bounds."""
 
 import gc
+import json
 import pathlib
 import random
 import sys
@@ -19,8 +20,9 @@ from paritykit.congruence import (
     sturm_bound,
 )
 from paritykit.family import base_curve, member
+from paritykit.io import parse_curve_file
 from paritykit.local import CurveData, ReductionType, conductor, count_points, tate_local
-from paritykit.weierstrass import CurveModel, discriminant, invariants
+from paritykit.weierstrass import CurveModel, discriminant, invariants, parse_curve
 
 DATA = pathlib.Path(__file__).parent / "data"
 E32 = CurveModel(0, 0, 0, -1, 0)
@@ -226,6 +228,87 @@ def test_level_matches_lcm_of_conductors():
             assert "reduced level %d" % level in v.caveat
         assert (v.level, v.bound) == (level, sturm_bound(level)), (c1, c2, p)
     assert reduced_seen >= 3
+
+
+def bad_prime_sturm_level(bad1, bad2, p, reduced):
+    """(level, Sturm bound) walked over both curves' LocalData values, one pair at a time."""
+    level = {p: 2}
+    for d in (*bad1.values(), *bad2.values()):
+        if reduced and d.ell != p and d.mod_p_cond_exp(p) == 0:
+            continue
+        level[d.ell] = max(level.get(d.ell, 0), d.cond_exp)
+    n, index = 1, 1
+    for ell, e in level.items():
+        n *= ell**e
+        index *= ell ** (e - 1) * (ell + 1)
+    return n, -(-index // 6)
+
+
+def golden_pairs():
+    """Every pair of curves, with its p, that a golden command compares."""
+    for case in json.loads((DATA / "golden" / "cases.json").read_text()):
+        argv = case["argv"]
+        p = int(argv[argv.index("-p") + 1]) if "-p" in argv else None
+        if "--e1" in argv:
+            yield parse_curve(argv[argv.index("--e1") + 1]), parse_curve(argv[argv.index("--e2") + 1]), p
+        elif argv[0] == "scan":
+            with open(DATA.parent.parent / argv[argv.index("--file") + 1], encoding="utf-8") as fh:
+                curves = [r.curve for r in parse_curve_file(fh)]
+            for i, c1 in enumerate(curves):
+                for c2 in curves[i + 1 :]:
+                    yield c1, c2, p
+
+
+def triage_curves(count, p=5):
+    """count seeded random short curves supersingular at p, as a scan-triage file holds."""
+    rng = random.Random(2024)
+    curves = []
+    while len(curves) < count:
+        c = CurveModel(0, 0, 0, rng.randint(10**4, 10**6) * rng.choice((-1, 1)),
+                       rng.randint(10**4, 10**6) * rng.choice((-1, 1)))
+        if discriminant(c) % p and count_points(c, p) == p + 1:
+            curves.append(c)
+    return curves
+
+
+def sturm_level_cases():
+    yield from golden_pairs()
+    # the family pairs that reach the Sturm scan: member(D, t) supersingular at 3
+    for D in (1, 2, 5, 7, 35):
+        for t in range(1, 31):
+            if discriminant(member(D, t)) % 3 and count_points(member(D, t), 3) == 4:
+                yield base_curve(D), member(D, t), 3
+    curves = triage_curves(10)
+    yield from ((c1, c2, 5) for i, c1 in enumerate(curves) for c2 in curves[i + 1 :])
+
+
+def test_sturm_level_matches_the_bad_prime_walk():
+    cases = list(sturm_level_cases())
+    assert len(cases) >= 100 + 45
+    reduced_differs = 0
+    for c1, c2, p in cases:
+        e1, e2 = CurveData(c1), CurveData(c2)
+        expected = [bad_prime_sturm_level(e1.bad, e2.bad, p, reduced) for reduced in (False, True)]
+        for reduced in (False, True):
+            assert paritykit.congruence._sturm_level(e1, e2, p, reduced) == expected[reduced], (c1, c2, p)
+        reduced_differs += expected[0] != expected[1]
+    assert reduced_differs >= 100
+
+
+def test_reused_curve_data_gives_fresh_verdicts_at_each_prime():
+    # A CurveData keeps its level exponents per p: used at 3 and then at 5,
+    # it must give the verdicts and exponents of objects built for each p.
+    curves = [E69, E897, E32, member(1, 3), member(1, 207), base_curve(5), member(5, 3)]
+    curves += triage_curves(4)
+    kept = [CurveData(c) for c in curves]
+    for p in (3, 5):
+        for i in range(len(curves)):
+            for j in range(i + 1, len(curves)):
+                fresh = check_congruence(CurveData(curves[i]), CurveData(curves[j]), p)
+                assert check_congruence(kept[i], kept[j], p) == fresh, (curves[i], curves[j], p)
+        for c, d in zip(curves, kept):
+            assert d.level_exponents(p) == CurveData(c).level_exponents(p)
+    assert sum(d.level_exponents(3)[1] != d.level_exponents(5)[1] for d in kept) >= 2
 
 
 def test_level_needs_no_factoring_of_the_lcm(monkeypatch):
