@@ -16,16 +16,16 @@ at _killing_orders).  tate_local calls the kernel on the model minimal at ell,
 and count_points reads tate_local's trace.
 
 CurveData holds one curve's local data for one run: the model's invariants,
-the bad-prime data, factored on first use, the conductor, and a dict of the
-good traces counted so far, which only its methods write: local() through
-tate_local, and trace() for the Sturm scan in congruence.py.  No setting caps
-the prime counted: tate_local and everything built on it take ell only through
-is_prime, which refuses ell >= 2^64, and the scan stops at
-congruence._BOUND_CAP.  tate_local reads the invariants from a CurveData,
-built for the call when given a bare model; it computes them again only for a
-model minimal at ell that it builds and, at 2 and 3, after moving the singular
-point to (0, 0).  A model is minimal and good at a prime that does not divide
-its discriminant, so trace() counts there straight from the model, with no
+the bad-prime data, factored on first use, the conductor, the Sturm level's
+exponents per p, and a dict of the good traces counted so far, which only its
+methods write: local() via tate_local, trace() for the Sturm scan.  No setting
+caps the prime counted: tate_local and everything built on it take ell only
+through is_prime, which refuses ell >= 2^64, and the scan stops at
+congruence._BOUND_CAP.  tate_local reads the invariants from a CurveData, built
+for the call when given a bare model; it computes them again only for a model
+minimal at ell that it builds and, at 2 and 3, after moving the singular point
+to (0, 0).  A model is minimal and good at a prime that does not divide its
+discriminant, so trace() counts there straight from the model, with no
 primality proof, minimal model or Tate's algorithm.  Nothing outlives the
 CurveData: this module, weierstrass.py and arith.py keep no memo.
 """
@@ -467,7 +467,7 @@ class CurveData:
         """{ell: cond_exp} at the bad primes, and the same without each ell != p where E[p] is unramified.
 
         The second dict leaves out the primes ell != p with
-        LocalData.mod_p_cond_exp(p) == 0.  Both are kept per p for later calls.
+        LocalData.mod_p_cond_exp(p) == 0.  Both are kept per p and shared: read only.
         """
         if p not in self._level_exponents:
             full = {ell: d.cond_exp for ell, d in self.bad.items()}
