@@ -19,8 +19,10 @@ from .errors import ComputationLimitError
 Factorization = list[tuple[int, int]]
 
 # Below this bound the first twelve primes are proven-deterministic
-# Miller-Rabin witnesses (covers everything under 3.3e24, so in particular 2^64).
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Miller-Rabin witnesses (covers everything under 3.1e23, so in particular
+# 2^64).  It is psi_12, the least strong pseudoprime to all twelve bases,
+# 399165290221 * 798330580441 (Sorenson-Webster, Math. Comp. 86, 2017).
+_MR_DETERMINISTIC_BOUND = 318665857834031151167461
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _IS_PRIME_BOUND = 2**64

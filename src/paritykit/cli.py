@@ -13,6 +13,11 @@ argv argparse would return the same namespace.  Any other argv (help,
 abbreviations, ``--opt=value``, repeated options, negative values, errors)
 goes to argparse, which is imported and built from the same table only then,
 so every help text, error message and exit code is argparse's.
+
+``scan`` keeps one congruence.screen_residues tuple per eligible record and
+prints "congruence Failed" for a pair whose tuples differ at a prime set in
+both, without calling check_congruence, which would return Failed at that
+prime or an earlier one; every other pair goes through check_congruence.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 import types
 
 from .arith import is_prime
-from .congruence import CongruenceStatus, check_congruence
+from .congruence import CongruenceStatus, check_congruence, screen_residues
 from .errors import ComputationLimitError
 from .family import member
 from .io import emit_json, emit_report, parse_curve_file, report_object, verdict_object
@@ -239,27 +244,33 @@ def _cmd_scan(args) -> int:
         try:
             why = outside_hypothesis(rec.data, p)
             if why is None:
-                rec.data.bad  # factored here, once, rather than retried by each of its pairs
+                # factored and screened here, once, rather than in each of its pairs
+                residues = screen_residues(rec.data, p)
         except (ValueError, ComputationLimitError) as exc:
             why = str(exc)
         if why is not None:
             print("skipping %s: %s" % (rec.label, why), file=sys.stderr)
             continue
-        eligible.append(rec)
-    pairs = [(a, b) for i, a in enumerate(eligible) for b in eligible[i + 1 :]]
+        eligible.append((rec, residues))
+    failed = "%%s / %%s: congruence %s" % CongruenceStatus.FAILED
     code = EXIT_OK
     emitted = []
-    for a, b in pairs:
-        verdict = check_congruence(a.data, b.data, p)
-        if verdict.status is not CongruenceStatus.VERIFIED:
-            print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
-            continue
-        report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
-                                 labels=(a.label, b.label))
-        report = _deduce(report, None)
-        emitted.append(report)
-        if report.relation_holds is False:
-            code = EXIT_VIOLATED
+    for i, (a, ra) in enumerate(eligible):
+        for b, rb in eligible[i + 1 :]:
+            if any(x != y for x, y in zip(ra, rb) if x is not None and y is not None):
+                # check_congruence would return Failed at this prime or an earlier one
+                print(failed % (a.label, b.label), file=sys.stderr)
+                continue
+            verdict = check_congruence(a.data, b.data, p)
+            if verdict.status is not CongruenceStatus.VERIFIED:
+                print("%s / %s: congruence %s" % (a.label, b.label, verdict.status), file=sys.stderr)
+                continue
+            report = parity_relation(a.data, b.data, p, rank1=a.rank, rank2=b.rank, verdict=verdict,
+                                     labels=(a.label, b.label))
+            report = _deduce(report, None)
+            emitted.append(report)
+            if report.relation_holds is False:
+                code = EXIT_VIOLATED
     if args.json:
         sys.stdout.write(emit_json([report_object(r) for r in emitted]))
     else:

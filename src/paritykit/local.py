@@ -18,16 +18,19 @@ and count_points reads tate_local's trace.
 CurveData holds one curve's local data for one run: the model's invariants,
 the bad-prime data, factored on first use, the conductor, the Sturm level's
 exponents per p, and a dict of the good traces counted so far, which only its
-methods write: local() via tate_local, trace() for the Sturm scan.  No setting
-caps the prime counted: tate_local and everything built on it take ell only
-through is_prime, which refuses ell >= 2^64, and the scan stops at
-congruence._BOUND_CAP.  tate_local reads the invariants from a CurveData, built
-for the call when given a bare model; it computes them again only for a model
-minimal at ell that it builds and, at 2 and 3, after moving the singular point
-to (0, 0).  A model is minimal and good at a prime that does not divide its
-discriminant, so trace() counts there straight from the model, with no
-primality proof, minimal model or Tate's algorithm.  Nothing outlives the
-CurveData: this module, weierstrass.py and arith.py keep no memo.
+methods write: bad and local() via Tate's algorithm, trace() for the Sturm
+scan and its screen.  No setting caps the prime counted: tate_local and
+everything built on it take ell only through is_prime, which refuses ell >=
+2^64, and the scan stops at congruence._BOUND_CAP.  bad runs Tate's algorithm
+on the primes that factor returned, which are proven below 2^64, so it checks
+only is_prime's range, with the same error, rather than proving each prime
+again.  tate_local reads the invariants from a CurveData, built for the call
+when given a bare model; it computes them again only for a model minimal at
+ell that it builds and, at 2 and 3, after moving the singular point to (0, 0).
+A model is minimal and good at a prime that does not divide its discriminant,
+so trace() counts there straight from the model, with no primality proof,
+minimal model or Tate's algorithm.  Nothing outlives the CurveData: this
+module, weierstrass.py and arith.py keep no memo.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .arith import _valuation, factor, is_prime, jacobi
+from .arith import _IS_PRIME_BOUND, _valuation, factor, is_prime, jacobi
 from .weierstrass import CurveModel, Invariants, _minimal_at, _translate, invariants
 
 # Primes from here up are counted by Shanks-Mestre, below it by the character
@@ -406,7 +409,11 @@ def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
     """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
     if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
         raise ValueError("%r is not a prime" % (ell,))
-    e = CurveData.of(c)
+    return _tate_local(CurveData.of(c), ell)
+
+
+def _tate_local(e: CurveData, ell: int) -> LocalData:
+    # tate_local for a prime ell below 2^64 that the caller has proven.
     m, inv = _minimal_at(e.model, e.inv, ell)
     n = _valuation(inv.disc, ell)
     if n == 0:
@@ -455,8 +462,18 @@ class CurveData:
     @property
     def bad(self) -> dict[int, LocalData]:
         if self._bad is None:
-            data = [self.local(q) for q, _ in factor(self.inv.disc)]
-            self._bad = {d.ell: d for d in data if d.red_type is not ReductionType.GOOD}
+            bad = {}
+            for q, _ in factor(self.inv.disc):
+                if q in self.traces:
+                    continue  # a good prime whose trace is stored
+                if q >= _IS_PRIME_BOUND:
+                    is_prime(q)  # raises its range error; below 2^64 factor has proven q prime
+                d = _tate_local(self, q)
+                if d.red_type is ReductionType.GOOD:
+                    self.traces[q] = d.trace
+                else:
+                    bad[q] = d
+            self._bad = bad
         return self._bad
 
     @property
@@ -487,7 +504,7 @@ class CurveData:
         return d
 
     def trace(self, ell: int, counted: int | None = None) -> int:
-        """a_ell, counted from the model unless stored; the Sturm scan is the only caller.
+        """a_ell, counted from the model unless stored; for the Sturm scan and congruence.screen_residues.
 
         ell must be a prime good for the curve, not dividing the model's
         discriminant unless the bad-prime data stored its trace; nothing here

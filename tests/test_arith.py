@@ -81,6 +81,17 @@ def test_is_prime_known_large_values():
         assert not is_prime(n)
 
 
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_composite():
+    # psi_12 passes Miller-Rabin at every base from 2 to 37 (Sorenson-Webster),
+    # so the twelve bases alone are deterministic only below it.
+    psi12 = 318665857834031151167461
+    p, q = 399165290221, 798330580441
+    assert p * q == psi12
+    assert arith._miller_rabin(psi12, arith._MR_BASES)
+    assert not arith._is_prime_unchecked(psi12)
+    assert factor(psi12) == [(p, 1), (q, 1)]
+
+
 def test_is_prime_range_limits():
     assert is_prime(2**64 - 59)  # largest prime below 2**64
     with pytest.raises(ComputationLimitError):

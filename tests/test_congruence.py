@@ -485,7 +485,7 @@ def test_traces_at_2_and_3_are_stored_like_any_good_prime(monkeypatch):
     data = CurveData(e11), CurveData(e37)
     counted, tate = [], []
     patch_everywhere(monkeypatch, local, "_count_good", recorder(counted))
-    patch_everywhere(monkeypatch, local, "tate_local", recorder(tate))
+    patch_everywhere(monkeypatch, local, "_tate_local", recorder(tate))
     v = check_congruence(*data, 5)
     assert v.witness == (3, -1, -3)
     assert [(m, ell) for ell, m, _ in counted] == [(e11, 2), (e37, 2), (e11, 3), (e37, 3)]
@@ -536,11 +536,12 @@ def test_one_request_counts_each_trace_once(argv, monkeypatch, capsys):
 def test_stated_conductors_are_computed_once(argv, monkeypatch, capsys):
     # The file states both conductors; checking them fills the bad-prime data
     # that the request then reads, so Tate's algorithm runs once per (model, ell).
+    # _tate_local is its body, behind both tate_local and CurveData.bad.
     seen = []
-    patch_everywhere(monkeypatch, local, "tate_local", recorder(seen))
+    patch_everywhere(monkeypatch, local, "_tate_local", recorder(seen))
     assert run(argv) == 0
     capsys.readouterr()
-    keys = [(getattr(c, "model", c), ell) for c, ell in seen]  # c is a CurveData or a model
+    keys = [(e.model, ell) for e, ell in seen]
     assert {ell for _, ell in keys} >= {3, 13, 23}
     assert len(keys) == len(set(keys))
 
@@ -606,3 +607,112 @@ def test_scan_memory_stays_bounded():
     assert [sorted(d.traces) for d in data] == [[ell for ell in scanned if ell not in d.bad] for d in data]
     assert [sorted(d.bad) for d in data] == [[3, 23], [3, 13, 23]]
     assert retained < 64 * 1024 * len(data), retained
+
+
+E11 = CurveModel(0, -1, 1, -10, -20)  # 11a: minimal discriminant -11^5
+
+
+def first_apart(r1, r2):
+    """The first screened prime where both residue tuples are set and differ, or None."""
+    for ell, a, b in zip(paritykit.congruence._SCREEN_PRIMES, r1, r2):
+        if a is not None and b is not None and a != b:
+            return ell
+    return None
+
+
+def screen_sets(p):
+    """Seeded curves for the screen at p: small models, many bad at 2 or 3, and triage-style ones."""
+    rng = random.Random(100 + p)
+    curves = [E11, E32, E69, E897, E69_NONMINIMAL]
+    while len(curves) < 45:
+        c = CurveModel(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                       rng.randint(-40, 40), rng.randint(-40, 40))
+        if discriminant(c) != 0:
+            curves.append(c)
+    return curves + triage_curves(15, p)
+
+
+def screen_cases():
+    yield from golden_pairs()
+    for D in (1, 2, 5, 7, 35):
+        for t in range(1, 31):
+            yield base_curve(D), member(D, t), 3
+    for p in (3, 5, 7):
+        curves = screen_sets(p)
+        yield from ((c1, c2, p) for i, c1 in enumerate(curves) for c2 in curves[i + 1 :])
+
+
+def test_screen_rules_out_only_pairs_that_fail_by_that_prime():
+    # Where two curves' residues are both set and differ, check_congruence
+    # must return Failed with its witness at or below the first such prime.
+    # Most pairs hold a curve bad at 2 or 3, and many fail below the screened
+    # prime, at a prime bad for one curve.
+    data = {}
+    apart = bad_small = below = 0
+    for c1, c2, p in screen_cases():
+        assert p in paritykit.congruence._SCREEN_PRIMES
+        e1, e2 = (data.setdefault(c, CurveData(c)) for c in (c1, c2))
+        r1, r2 = (paritykit.congruence.screen_residues(e, p) for e in (e1, e2))
+        bad_small += any(r[i] is None and ell != p for r in (r1, r2) for i, ell in enumerate((2, 3)))
+        ell = first_apart(r1, r2)
+        if ell is None:
+            continue
+        apart += 1
+        v = check_congruence(e1, e2, p)
+        assert v.status is CongruenceStatus.FAILED and v.witness[0] <= ell, (c1, c2, p, ell, v)
+        below += v.witness[0] < ell
+    assert apart >= 5000 and bad_small >= 4000 and 1000 <= below <= apart - 1000, (apart, bad_small, below)
+
+
+def test_screen_reads_each_curve_up_to_its_own_reach():
+    # 11a has p | v_11(min disc) = 5 at p = 5, so its reduced level with p^2
+    # is 25, of Sturm bound 5: every pair with it scans to 5 at least, and the
+    # screen reads 2 and 3 only.  At p = 3 the reduced level is 99, bound 24.
+    e = CurveData(E11)
+    assert paritykit.congruence._sturm_level(e, e, 5, reduced=True) == (25, 5)
+    assert paritykit.congruence.screen_residues(e, 5) == (-2 % 5, -1 % 5) + (None,) * 6
+    traces = {ell: tate_local(E11, ell).trace for ell in (2, 3, 5, 7, 13, 17, 19)}
+    expected = tuple(None if ell in (3, 11) else traces[ell] % 3 for ell in paritykit.congruence._SCREEN_PRIMES)
+    assert paritykit.congruence.screen_residues(e, 3) == expected
+
+
+def triage_style_file(path, count, p=5):
+    """count seeded triage-style records: about half supersingular at p, the rest skipped."""
+    rng = random.Random(2500)
+    lines = ["s%d ? [0,0,0,%d,%d] ?" % (i, c.a4, c.a6) for i, c in enumerate(triage_curves(count // 2, p))]
+    while len(lines) < count:
+        c = CurveModel(0, 0, 0, rng.randint(10**4, 10**6) * rng.choice((-1, 1)),
+                       rng.randint(10**4, 10**6) * rng.choice((-1, 1)))
+        if discriminant(c):
+            lines.append("n%d ? [0,0,0,%d,%d] ?" % (len(lines), c.a4, c.a6))
+    rng.shuffle(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def scan_outputs(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_scan_output_is_the_same_with_the_screen_off(tmp_path, monkeypatch, capsys):
+    files = sorted(DATA.glob("*.curves")) + [triage_style_file(tmp_path / "triage.curves", 200)]
+    argvs = [["scan", "--file", str(f), "-p", p, *flags] for f in files for p in ("3", "5", "7")
+             for flags in ([], ["--json"])]
+    screened = [scan_outputs(argv, capsys) for argv in argvs]
+    off = (None,) * len(paritykit.congruence._SCREEN_PRIMES)
+    monkeypatch.setattr("paritykit.cli.screen_residues", lambda e, p: off)
+    for argv, expected in zip(argvs, screened):
+        assert scan_outputs(argv, capsys) == expected, argv
+    # the seeded file at p = 5 has pairs to rule out and a report to print
+    assert screened[-4][2].count("congruence Failed") >= 1000
+
+
+def test_screen_sends_only_the_congruent_pair_to_check_congruence(monkeypatch, capsys):
+    seen = []
+    patch_everywhere(monkeypatch, paritykit.congruence, "check_congruence", recorder(seen))
+    assert run(["scan", "--file", str(DATA / "triage_p5.curves"), "-p", "5"]) == 0
+    err = capsys.readouterr().err
+    assert [(e1.model, e2.model, p) for e1, e2, p in seen] == [(E69, E897, 5)]
+    assert err.count("congruence Failed") == 27

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 import paritykit
 from paritykit import arith, local
 from paritykit.cli import run
+from paritykit.errors import ComputationLimitError
 from paritykit.local import (
     CurveData,
     LocalData,
@@ -579,6 +581,24 @@ def test_count_points_input_gates():
                 probe(E11, ell)
     with pytest.raises(ValueError, match="tate_local"):
         count_points(E11, 11)
+
+
+def test_bad_prime_from_2_64_up_is_refused_with_the_is_prime_message(monkeypatch, capsys):
+    # y^2 = x^3 + q has discriminant -432 q^2.  CurveData.bad runs Tate's
+    # algorithm on factor's primes without proving them again, but q = 2^64 + 13
+    # is still refused as tate_local refuses it, after the work at 2 and 3.
+    q = 2**64 + 13
+    message = "is_prime: %d is out of supported range (< 2**64)" % q
+    seen = []
+    original = local._tate_local
+    monkeypatch.setattr(local, "_tate_local", lambda e, ell: seen.append(ell) or original(e, ell))
+    with pytest.raises(ComputationLimitError, match=r"^%s$" % re.escape(message)):
+        CurveData(CurveModel(0, 0, 0, 0, q)).bad
+    assert seen == [2, 3]
+    with pytest.raises(ComputationLimitError, match=r"^%s$" % re.escape(message)):
+        tate_local(E11, q)
+    assert run(["local-info", "--curve", "[0,0,0,0,%d]" % q]) == 3
+    assert capsys.readouterr().err == "computational limit: %s\n" % message
 
 
 def test_singular_models_are_rejected():
