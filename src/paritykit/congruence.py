@@ -19,9 +19,10 @@ caller that passes its own keeps the bad primes and every trace counted for
 later steps of the run.  CurveData.trace serves each good trace.
 
 A long scan uses a second core.  Once the walk has passed the primes below
-local._BSGS_MIN_ELL with no mismatch, and when os.fork exists, the process may
-run on two CPUs, it has no other live thread and the counts still to do are
-worth a fork (_helper_pays), it forks one child.  The child counts both
+local._BSGS_MIN_ELL with no mismatch, and when _may_fork allows a helper
+process (os.fork exists, the process may run on two CPUs, it has no other
+live thread, and it neither has nor is a helper) and the counts still to do
+are worth a fork (_helper_pays), it forks one child.  The child counts both
 curves' traces from the bound down, and writes each compared prime's (ell,
 a1, a2) to a pipe as it goes.  The parent walks up as before and reads the
 pipe, without blocking, at each compared prime; from the lowest prime the
@@ -30,7 +31,9 @@ two sides meet wherever their speeds put them.  There the parent closes the
 pipe, and the child leaves at its next write; the parent reaps it when the
 scan ends, also by a mismatch or an exception.  So the verdict, the stored
 traces and every error are those of the serial walk: a prime the child did
-not send is counted by the parent.  There is no setting for this.
+not send is counted by the parent.  While cli's all-pairs scan runs its own
+helper over the pairs (see cli), neither of its processes forks this one, so
+a request never has more than two processes.  There is no setting for this.
 
 An all-pairs scan rules most pairs out before this walk.  screen_residues
 gives a curve's a_ell mod p at the primes below 20 that are good for it, not
@@ -40,7 +43,10 @@ Failed there or earlier, so cli's scan prints that verdict without calling
 check_congruence.  On seeded files of 100/200/400 scan-triage-style records,
 all supersingular at 5, `python -m paritykit.cli scan -p 5` took
 0.166/0.504/1.697 s of wall time without the screen and 0.090/0.163/0.407 s
-with it (medians of 7, 2-vCPU VM, Python 3.11.7).
+with it (medians of 7, 2-vCPU VM, Python 3.11.7).  With cli's comparison of
+packed residues and its pair helper, which each of them forks for its
+35/120/434 screened-in pairs, they took 0.090/0.115/0.227 s, against
+0.087/0.127/0.282 s without either.
 """
 
 from __future__ import annotations
@@ -153,21 +159,71 @@ def screen_residues(c: CurveModel | CurveData, p: int) -> tuple[int | None, ...]
     )
 
 
-def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> bool:
-    """Whether a helper process may and should count the scan's traces at primes.
+# The pids of this process's live helpers, and 0 in a helper: a process that
+# has or is a helper forks no other, so a request never has more than two.
+_helpers: set[int] = set()
 
-    A helper needs os.fork, a second CPU this process may run on, and no
-    other live thread (a forked child holds a copy of only the calling
-    thread); threading is read from sys.modules, not imported.  A thread that
+
+def _may_fork() -> bool:
+    """Whether this process may fork a helper.
+
+    A helper needs os.fork, a second CPU this process may run on, no other
+    live thread (a forked child holds a copy of only the calling thread) and
+    no helper already live in this process or this process being one.
+    threading is read from sys.modules, not imported.  A thread that
     threading does not know, such as a BLAS pool that numpy starts, is not
-    seen; the child runs only Python arithmetic, pipe writes and os._exit,
-    and takes no lock such a thread could hold.  It must also be worth its
-    round trip: the traces not yet stored at primes, weighted ell^(1/4) per
-    count, must reach _FORK_MIN_WORK.
+    seen; a child runs only Python arithmetic, pipe writes and os._exit, and
+    takes no lock such a thread could hold.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or len(cpus) < 2 or threading and threading.active_count() > 1:
+    return (hasattr(os, "fork") and len(cpus) >= 2 and not (threading and threading.active_count() > 1)
+            and not _helpers)
+
+
+def _fork(send) -> tuple[int, int] | None:
+    """Fork a child that runs send(w), w the write end of a pipe, then leaves through os._exit.
+
+    Returns the child's pid and the non-blocking read end, or None when the
+    fork fails.  The child stops at the first error, the failed write to a
+    pipe the parent has closed included; the parent does the rest and meets
+    any error itself.  It runs no atexit handler and flushes no inherited
+    buffer.  The parent reaps the child with _reap.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the parent does all the work
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        os.set_blocking(r, False)
+        _helpers.add(pid)
+        return pid, r
+    try:
+        os.close(r)
+        _helpers.add(0)
+        send(w)
+    finally:
+        os._exit(0)
+
+
+def _reap(pid: int) -> None:
+    try:
+        os.waitpid(pid, 0)
+    finally:
+        _helpers.discard(pid)
+
+
+def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> bool:
+    """Whether a helper process may (_may_fork) and should count the scan's traces at primes.
+
+    It must be worth its round trip: the traces not yet stored at primes,
+    weighted ell^(1/4) per count, must reach _FORK_MIN_WORK.
+    """
+    if not _may_fork():
         return False
     bad1, bad2 = e1.bad, e2.bad
     work = sum(
@@ -183,25 +239,10 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> _He
     """A child that counts the traces at primes, from the top down, and sends those compared.
 
     It writes one record of three C ints (ell, a1, a2) per compared prime, 0
-    in place of the trace of a curve bad at ell.  It stops at the first
-    error, the failed write to a pipe the parent has closed included; the
-    parent counts the rest and meets any error itself.  It leaves through
-    os._exit, so it runs no atexit handler and flushes no inherited buffer.
-    None when the fork fails.
+    in place of the trace of a curve bad at ell.  None when the fork fails.
     """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the parent counts every prime
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        os.set_blocking(r, False)
-        return _Helper(pid, r)
-    try:
-        os.close(r)
+
+    def send(w):
         bad1, bad2 = e1.bad, e2.bad
         record = memoryview(bytearray(12)).cast("i")
         for ell in reversed(primes):
@@ -211,23 +252,28 @@ def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> _He
                 record[1] = 0 if d1 else e1.trace(ell)
                 record[2] = 0 if d2 else e2.trace(ell)
                 os.write(w, record)
-    finally:
-        os._exit(0)
+
+    forked = _fork(send)
+    return forked and _Helper(*forked)
 
 
 class _Helper:
-    """The parent's end of _fork_helper: the child's pid, its pipe and the lowest prime it has sent."""
+    """The parent's end of _fork_helper: the child's pid, its pipe and the lowest prime it has sent.
 
-    def __init__(self, pid: int, fd: int) -> None:
+    cli's all-pairs scan reads its own helper's records through a subclass
+    that overrides _take.
+    """
+
+    def __init__(self, pid: int, fd: int, lowest: int = _BOUND_CAP + 1) -> None:
         self.pid, self.fd = pid, fd
-        self.lowest = _BOUND_CAP + 1
+        self.lowest = lowest
         self.partial = b""
 
     def read(self, sent: dict) -> int:
-        """Add the records that have arrived to sent, as {ell: (a1, a2)}, without blocking.
+        """Add the records that have arrived to sent, without blocking.
 
-        Returns the lowest prime sent so far.  A record split across two
-        reads is completed by the next.  Once stopped, reads nothing.
+        Returns the lowest key sent so far.  A record split across reads is
+        completed by a later one.  Once stopped, reads nothing.
         """
         if self.fd is None:
             return self.lowest
@@ -235,13 +281,17 @@ class _Helper:
             data = self.partial + os.read(self.fd, 1 << 16)
         except BlockingIOError:
             return self.lowest
+        self.partial = data[self._take(data, sent) :]
+        return self.lowest
+
+    def _take(self, data: bytes, sent: dict) -> int:
+        """Add the whole records that data starts with to sent, as {ell: (a1, a2)}; returns their length."""
         whole = len(data) - len(data) % 12
-        self.partial = data[whole:]
         values = iter(memoryview(data[:whole]).cast("i").tolist())
         for ell, a1, a2 in zip(values, values, values):
             sent[ell] = a1, a2
             self.lowest = ell
-        return self.lowest
+        return whole
 
     def stop(self) -> None:
         """Close the pipe, so that the child's next write fails and it exits; idempotent."""
@@ -325,7 +375,7 @@ def check_congruence(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: 
     finally:
         if helper is not None:
             helper.stop()
-            os.waitpid(helper.pid, 0)
+            _reap(helper.pid)
     if structural is not None:
         notes.append(
             "Traces agree up to the bound, but ell = %d is additive for one "

@@ -162,6 +162,18 @@ def emit_json(obj) -> str:
     return "".join(out)
 
 
+def json_list_item(obj) -> str:
+    """The text of obj as an element of a list that emit_json writes whole."""
+    out: list[str] = []
+    _write_json(obj, "\n  ", out)
+    return "".join(out)
+
+
+def emit_json_list(items: list[str]) -> str:
+    """emit_json of a list, given the json_list_item text of each element."""
+    return "[\n  %s\n]\n" % ",\n  ".join(items) if items else "[]\n"
+
+
 def _write_json(value, newline: str, out: list[str]) -> None:
     # newline is a line break followed by the indentation of value's own line.
     if isinstance(value, str):

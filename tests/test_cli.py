@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import paritykit
 from paritykit import local
 from paritykit.arith import factor
-from paritykit.cli import _build_parser, _parse_exact, run
+from paritykit.cli import _build_parser, _parse_exact, _screen_key, run
 from paritykit.errors import ComputationLimitError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -323,6 +324,19 @@ def test_scan(capsys):
     assert reports[0]["relation"]["holds"] is True
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 17, 2**61 - 1])
+def test_screen_keys_differ_exactly_where_the_residues_differ_at_a_prime_set_for_both(p):
+    rng = random.Random(p)
+    values = [None, 0, 1, p - 2, p - 1]
+    tuples = [tuple(rng.choice(values) for _ in range(8)) for _ in range(60)]
+    for ra in tuples:
+        va, ma = _screen_key(ra, p.bit_length())
+        for rb in tuples:
+            vb, mb = _screen_key(rb, p.bit_length())
+            differ = any(x != y for x, y in zip(ra, rb) if x is not None and y is not None)
+            assert (((va ^ vb) & ma & mb) != 0) == differ
+
+
 def test_scan_skips_ineligible(capsys):
     extra = DATA / "mixed.curves"
     extra.write_text(
@@ -557,8 +571,10 @@ def test_output_matches_golden(case, capsys, monkeypatch):
 
 # numpy is a test-only oracle; dataclasses (which loads inspect) and fractions
 # (which loads decimal) cost milliseconds of start-up that every CLI call pays,
-# and the Sturm scan's helper process is a bare os.fork, not a pool.
-AVOIDED_MODULES = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "concurrent"]
+# and the helper processes of the Sturm scan and of the all-pairs scan are a
+# bare os.fork and os.pipe, not a pool, a subprocess or a selector loop.
+AVOIDED_MODULES = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "concurrent",
+                   "pickle", "selectors", "subprocess"]
 
 AVOIDING_RUN = """
 import contextlib, io, json, sys

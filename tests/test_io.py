@@ -9,7 +9,10 @@ from paritykit.congruence import check_congruence
 from paritykit.io import (
     CurveRecord,
     emit_curve_file,
+    emit_json,
+    emit_json_list,
     emit_report,
+    json_list_item,
     parse_curve_file,
     report_object,
 )
@@ -145,6 +148,14 @@ def test_emit_report_big_integers_as_strings():
     # smaller integers stay numeric, booleans stay booleans
     assert obj["congruence"]["bound"] == 6720
     assert obj["relation"]["holds"] is True
+
+
+@pytest.mark.parametrize("items", [[], [{}], [[], "a"], [{"k": [1, {"x": 2**60}]}, None, True, 3]],
+                         ids=["empty", "one", "two", "nested"])
+def test_a_list_written_item_by_item_equals_emit_json(items):
+    report = report_object(make_report())
+    for value in (items, items + [report]):
+        assert emit_json_list([json_list_item(v) for v in value]) == emit_json(value)
 
 
 def test_records_are_immutable():

@@ -1,25 +1,34 @@
-"""The Sturm scan's helper process: same results as the serial walk, nothing left behind.
+"""The helper processes of a scan: same results as the serial run, nothing left behind.
 
 check_congruence may fork one child that counts a long scan from the top down
 while the parent walks up; from the lowest prime the child has sent, the
 parent uses the child's traces.  congruence._helper_pays decides whether to
 fork, and the tests replace it to force either path.  meeting_at pins where
 the two sides meet with pipes the test owns, so that each case is exact.
+
+cli's scan may fork one child that runs the pairs that pass the screen from
+the last one down while the parent runs them from the first one up; from the
+lowest pair the child has sent, the parent uses the child's results.
+cli._pair_helper_pays decides, and pairs_meet_at pins the meeting point.
 """
 
 import contextlib
 from array import array
 import os
+import pathlib
+import random
 import signal
 import threading
 import warnings
 
 import pytest
 
+import paritykit.cli
 import paritykit.congruence
 from paritykit import local
 from paritykit.cli import run
 from paritykit.congruence import CongruenceStatus, check_congruence
+from paritykit.errors import ComputationLimitError
 from paritykit.family import base_curve, member
 from paritykit.local import _BSGS_MIN_ELL, CurveData
 from paritykit.weierstrass import CurveModel
@@ -34,6 +43,7 @@ BELOW_MEET = 2999
 FIRST = 233  # the first prime the parent counts after the fork
 EARLY = 1009  # the parent's part
 LATE = 5003  # the child's part, its helper range
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def family_argv(D, t):
@@ -358,12 +368,17 @@ def test_a_record_split_across_reads_is_completed_by_the_next():
         os.close(w)
 
 
-def test_a_long_scan_forks_once_and_a_short_one_never(forks):
+def test_a_long_scan_forks_once_and_a_short_one_never(forks, family_file):
     assert check_congruence(base_curve(7), member(7, 3), 3).status is CongruenceStatus.VERIFIED
     assert len(forks) == 1
     # D = 2 scans to 768: too little counting past 230 to repay a fork.
     assert check_congruence(base_curve(2), member(2, 3), 3).status is CongruenceStatus.VERIFIED
     assert len(forks) == 1
+    # 120 D = 1 pairs pass the screen, each too short for a Sturm helper; 10 are too few to fork for
+    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
+    assert len(forks) == 2
+    assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
+    assert len(forks) == 2
 
 
 @pytest.fixture
@@ -395,7 +410,7 @@ def test_triage_scan_stays_serial(no_fork, tmp_path, capsys):
     assert capsys.readouterr().err.count("congruence Failed") == 6
 
 
-def test_second_live_thread_keeps_the_scan_serial(no_fork):
+def test_second_live_thread_keeps_the_scan_serial(no_fork, family_file):
     release = threading.Event()
     worker = threading.Thread(target=release.wait)
     worker.start()
@@ -403,19 +418,317 @@ def test_second_live_thread_keeps_the_scan_serial(no_fork):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             v = check_congruence(base_curve(7), member(7, 3), 3)
+            code = run(["scan", "--file", str(family_file), "-p", "3"])
     finally:
         release.set()
         worker.join()
     assert v.status is CongruenceStatus.VERIFIED
+    assert code == 0
 
 
-def test_one_cpu_keeps_the_scan_serial(no_fork, monkeypatch):
+def test_one_cpu_keeps_the_scan_serial(no_fork, monkeypatch, family_file):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert check_congruence(base_curve(7), member(7, 3), 3).status is CongruenceStatus.VERIFIED
+    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
 
 
-def test_platform_without_fork_stays_serial(monkeypatch):
+def test_platform_without_fork_stays_serial(monkeypatch, family_file):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert check_congruence(base_curve(7), member(7, 3), 3).status is CongruenceStatus.VERIFIED
+    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
+
+
+# The scan's pair helper.
+
+
+def scan_family_records(count, seed):
+    """count records as scan-family writes its file, shuffled.
+
+    32a with rank 0, then member(1, t) for t = 3, 6, 9, ... without 30.
+    """
+    ts = [t for t in range(3, 3 * count + 3, 3) if t != 30][: count - 1]
+    records = ["b1 ? %s 0" % (base_curve(1),)] + ["m%d ? %s ?" % (t, member(1, t)) for t in ts]
+    random.Random(seed).shuffle(records)
+    return records
+
+
+@pytest.fixture(scope="module")
+def family_file(tmp_path_factory):
+    """16 records; at p = 3 all 120 pairs pass the screen and are Verified."""
+    path = tmp_path_factory.mktemp("scans") / "family.curves"
+    path.write_text("\n".join(scan_family_records(16, 26)) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def mixed_file(tmp_path_factory):
+    """family_file's records among triage_p5.curves': at p = 3, "skipping" and Failed lines among the reports."""
+    lines = [line for line in (DATA / "triage_p5.curves").read_text().splitlines() if line[:1] not in ("", "#")]
+    lines += scan_family_records(16, 26)
+    random.Random(26).shuffle(lines)
+    path = tmp_path_factory.mktemp("scans") / "mixed.curves"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def pair_helper(monkeypatch, on):
+    monkeypatch.setattr(paritykit.cli, "_pair_helper_pays", lambda checks: on)
+
+
+@contextlib.contextmanager
+def pairs_meet_at(monkeypatch, share):
+    """Pin the meeting point: the child sends its first share pairs, the last ones, and no other.
+
+    The child holds before its next pair until it is ended or the block is
+    left, and the parent's first pair waits until the child holds or has
+    exited.  The child writes its pairs before the parent reads any, so they
+    must fit in the pipe's buffer (64 KiB on Linux).  Yields the labels of
+    the pairs the parent runs.  The pipes are closed and the patch undone on
+    leaving.
+    """
+    parent = os.getpid()
+    ready_r, ready_w = os.pipe()
+    hold_r, hold_w = os.pipe()
+    open_fds = {ready_r, ready_w, hold_r, hold_w}
+    sent = [0]
+    waiting = [True]
+    ran = []
+
+    def close(fd):
+        if fd in open_fds:
+            open_fds.discard(fd)
+            os.close(fd)
+
+    with monkeypatch.context() as m:
+        real = paritykit.cli._check_pair
+
+        def check_pair(a, b, *args):
+            if os.getpid() != parent:
+                if sent[0] == share:
+                    close(hold_w)
+                    os.write(ready_w, b"!")
+                    os.read(hold_r, 1)
+                sent[0] += 1
+            else:
+                ran.append((a.label, b.label))
+                if waiting[0]:
+                    waiting[0] = False
+                    close(ready_w)
+                    os.read(ready_r, 1)
+            return real(a, b, *args)
+
+        m.setattr(paritykit.cli, "_check_pair", check_pair)
+        try:
+            yield ran
+        finally:
+            for fd in list(open_fds):
+                close(fd)
+
+
+def scan_outputs(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def screened_in(argv, monkeypatch, capsys):
+    """The labels of the pairs the serial scan runs past the screen, in order."""
+    labels = []
+    real = paritykit.cli._check_pair
+    with monkeypatch.context() as m:
+        def check_pair(a, b, *args):
+            labels.append((a.label, b.label))
+            return real(a, b, *args)
+
+        m.setattr(paritykit.cli, "_check_pair", check_pair)
+        pair_helper(m, False)
+        scan_outputs(argv, capsys)
+    return labels
+
+
+def lowest_sent(monkeypatch):
+    """What each of the parent's reads of the pair helper's pipe returned."""
+    lowest = []
+    read = paritykit.cli._PairHelper.read
+
+    def record_read(self, sent):
+        lowest.append(read(self, sent))
+        return lowest[-1]
+
+    monkeypatch.setattr(paritykit.cli._PairHelper, "read", record_read)
+    return lowest
+
+
+DATA_SCANS = [(f.name, p, flags) for f in sorted(DATA.glob("*.curves")) for p in ("3", "5", "7")
+              for flags in ([], ["--json"])]
+
+
+@pytest.mark.parametrize("name, p, flags", DATA_SCANS + [("family", "3", []), ("family", "3", ["--json"])],
+                         ids=lambda v: "json" if v == ["--json"] else "text" if v == [] else v)
+def test_scan_output_equals_the_serial_scan(name, p, flags, forks, monkeypatch, capsys, request):
+    path = request.getfixturevalue("family_file") if name == "family" else DATA / name
+    argv = ["scan", "--file", str(path), "-p", p, *flags]
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    # the parent runs every pair but the last: no Sturm helper while the pair helper runs
+    with pairs_meet_at(monkeypatch, 1) as ran:
+        parallel = scan_outputs(argv, capsys)
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    labels = screened_in(argv, monkeypatch, capsys)
+    if len(labels) > 1:  # with one pair, whether it arrives before the parent's first read is a race
+        assert ran == labels[:-1]
+    pair_helper(monkeypatch, False)
+    assert scan_outputs(argv, capsys) == parallel
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_the_parent_runs_no_pair_the_child_has_sent(flags, family_file, forks, monkeypatch, capsys):
+    argv = ["scan", "--file", str(family_file), "-p", "3", *flags]
+    lowest = lowest_sent(monkeypatch)
+    ran = []  # the lowest pair sent when the parent ran each of its own
+    real = paritykit.cli._check_pair
+    parent = os.getpid()
+
+    def check_pair(*args):
+        if os.getpid() == parent:
+            ran.append(lowest[-1])
+        return real(*args)
+
+    monkeypatch.setattr(paritykit.cli, "_check_pair", check_pair)
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    # where the speeds of the two sides decide: the parent runs pairs 0, 1, ... while each is below the lowest sent
+    parallel = scan_outputs(argv, capsys)
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    assert all(k < sent for k, sent in enumerate(ran))
+    assert len(ran) >= min(lowest)
+    pair_helper(monkeypatch, False)
+    assert scan_outputs(argv, capsys) == parallel
+
+
+def test_an_error_in_the_childs_pair_is_raised_by_the_parent_at_that_pair(mixed_file, forks, monkeypatch, capsys):
+    argv = ["scan", "--file", str(mixed_file), "-p", "3"]
+    labels = screened_in(argv, monkeypatch, capsys)
+    at = labels[-2]  # the child's second pair
+    real = paritykit.cli.parity_relation
+
+    def limit_at(*args, **kwargs):
+        if kwargs["labels"] == at:
+            raise ComputationLimitError("count budget spent on %s / %s" % at)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paritykit.cli, "parity_relation", limit_at)
+    lowest = lowest_sent(monkeypatch)
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    with pairs_meet_at(monkeypatch, 3):
+        parallel = scan_outputs(argv, capsys)
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    assert min(lowest) == len(labels) - 1  # the child sent its first pair and stopped at the second
+    pair_helper(monkeypatch, False)
+    assert scan_outputs(argv, capsys) == parallel
+    code, out, err = parallel
+    assert (code, out) == (3, "")
+    assert err.endswith("congruence Failed\ncomputational limit: count budget spent on %s / %s\n" % at)
+
+
+def test_a_pair_helper_that_dies_leaves_its_pairs_to_the_parent(mixed_file, forks, reaped, monkeypatch, capsys):
+    argv = ["scan", "--file", str(mixed_file), "-p", "3", "--json"]
+    at = screened_in(argv, monkeypatch, capsys)[-2]
+    parent = os.getpid()
+    real = paritykit.cli.parity_relation
+
+    def die_in_child(*args, **kwargs):
+        if kwargs["labels"] == at and os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paritykit.cli, "parity_relation", die_in_child)
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    with pairs_meet_at(monkeypatch, 3):
+        parallel = scan_outputs(argv, capsys)
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    assert [os.WEXITSTATUS(s) for s in reaped] == [1]
+    pair_helper(monkeypatch, False)
+    assert scan_outputs(argv, capsys) == parallel
+    assert parallel[0] == 0
+
+
+def test_keyboard_interrupt_in_the_parent_stops_the_pair_helper(family_file, forks, monkeypatch, capsys):
+    parent = os.getpid()
+    real = paritykit.cli.parity_relation
+    calls = []
+
+    def interrupt(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(kwargs["labels"])
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paritykit.cli, "parity_relation", interrupt)
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    # the child holds in its third pair, so only ending it lets the parent leave
+    with pairs_meet_at(monkeypatch, 2), pytest.raises(KeyboardInterrupt):
+        run(["scan", "--file", str(family_file), "-p", "3"])
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    capsys.readouterr()
+
+
+def test_a_child_held_inside_a_pair_does_not_keep_the_parent(family_file, forks, reaped, monkeypatch, capsys):
+    argv = ["scan", "--file", str(family_file), "-p", "3", "--json"]
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    # the child sends the last two pairs and holds in the third from last until the block is left
+    with pairs_meet_at(monkeypatch, 2):
+        parallel = scan_outputs(argv, capsys)
+        [status] = reaped
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    pair_helper(monkeypatch, False)
+    assert scan_outputs(argv, capsys) == parallel
+
+
+def test_a_scan_of_d7_pairs_forks_once(tmp_path, forks, monkeypatch, capsys):
+    curves = [base_curve(7), member(7, 3), member(7, 6)]
+    path = tmp_path / "d7.curves"
+    path.write_text("".join("c%d ? %s ?\n" % (i, c) for i, c in enumerate(curves)))
+    monkeypatch.setattr(paritykit.cli, "_FORK_MIN_PAIRS", 3)
+    fd = lowest_free_fd()
+    # every process of the request appends its pid to the log before it forks
+    log = os.open(tmp_path / "forks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    fork = os.fork
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", lambda: os.write(log, b"%d\n" % os.getpid()) and fork())
+            assert run(["scan", "--file", str(path), "-p", "3"]) == 0
+    finally:
+        os.close(log)
+    assert (tmp_path / "forks").read_text() == "%d\n" % os.getpid()
+    assert capsys.readouterr().out.count("congruence: Verified") == 3
+    assert len(forks) == 1
+    assert_nothing_left(fd)
+    # alone, each of the three pairs forks a Sturm helper
+    for i, c in enumerate(curves):
+        for other in curves[i + 1 :]:
+            assert check_congruence(c, other, 3).status is CongruenceStatus.VERIFIED
+    assert len(forks) == 4
+
+
+@pytest.mark.parametrize("name", ["congruent_pair.curves", "triage_p5.curves"])
+def test_a_scan_of_few_pairs_forks_no_pair_helper(name, forks, monkeypatch, capsys):
+    def fork(send):
+        raise AssertionError("pair helper forked")
+
+    monkeypatch.setattr(paritykit.cli, "_fork", fork)
+    assert run(["scan", "--file", str(DATA / name), "-p", "5"]) == 0
