@@ -19,16 +19,19 @@ prints "congruence Failed" for a pair whose tuples differ at a prime set in
 both, without calling check_congruence, which would return Failed at that
 prime or an earlier one; every other pair goes through check_congruence.
 
-A scan with at least _FORK_MIN_PAIRS pairs past the screen uses a second
-core, where congruence._may_fork allows a helper process.  It forks one
-child, which runs those pairs from the last one down and sends each pair's
-result over a pipe: its stderr line, or its report's text and whether it
-violates the relation.  The parent runs them from the first one up and reads
-the pipe, without blocking, before each; from the lowest pair the child has
-sent it takes the sent results and ends the child, whatever pair it is in.
-So stdout, stderr, the exit code and every error are those of the serial
-loop: a pair the child did not send is run by the parent.  While the child
-runs, neither process forks a Sturm helper.  There is no setting for this.
+A scan whose pairs past the screen are worth it uses a second core, where
+congruence._may_fork allows a helper process.  Before each such pair, until
+it forks, the parent asks _pair_helper_pays: the pairs run so far must predict
+at least _FORK_MIN_S for the rest, and no pair from there on may have a Sturm
+walk long enough to fork its own helper.  Then it forks one child, which runs
+the rest from the last one down and sends each pair's result over a pipe: its
+stderr line, or its report's text and whether it violates the relation.  The
+parent runs them on up and reads the pipe, without blocking, before each; from
+the lowest pair the child has sent it takes the sent results and ends the
+child, whatever pair it is in.  So stdout, stderr, the exit code and every
+error are those of the serial loop: a pair the child did not send is run by
+the parent.  While the child runs, neither process forks a Sturm helper.
+There is no setting for this.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ import os
 import sys
 import types
 from io import StringIO
+from time import perf_counter
 
 from .arith import is_prime
-from .congruence import CongruenceStatus, _fork, _Helper, _may_fork, _reap, check_congruence, screen_residues
+from .congruence import (CongruenceStatus, _fork, _Helper, _may_fork, _reap, _walk_may_fork, check_congruence,
+                         screen_residues)
 from .errors import ComputationLimitError
 from .family import member
 from .io import emit_json, emit_json_list, emit_report, json_list_item, parse_curve_file, report_object, verdict_object
@@ -288,32 +293,54 @@ def _check_pair(a, b, p: int, as_json: bool) -> tuple[int, str]:
     return kind, out.getvalue()
 
 
-# A pair helper costs its fork, the parent's copy-on-write page faults and
-# its reap, about 2.5 ms, which half of the screened-in pairs must repay.  The
-# cheapest Verified pairs, those of scan-family's D = 1 curves at bound 96,
-# take about 0.4 ms each: with the helper forced on and off, 28 pairs ran 12.5
-# and 12.0 ms, 36 ran 13.6 and 14.3 (cli.run medians of 12 fresh processes,
-# 2-vCPU VM).  Pairs that fail just past the screen cost less still.
-_FORK_MIN_PAIRS = 32
+# A pair helper costs its fork, the parent's copy-on-write page faults, the
+# decoding of the child's texts, a pair both sides may run at the meeting
+# point, and its reap.  Files of scan-family's curves, whose pairs take about
+# 0.3-0.4 ms each, broke even at about 28 pairs, 11 ms of pairs, with the
+# helper forked before the first pair: 28 pairs ran 12.5 ms forked and 12.0 ms
+# serial, 36 ran 13.6 and 14.3 (cli.run medians of 12 fresh processes, 2-vCPU
+# VM).  The first pairs, which count the traces later pairs reuse, cost more
+# than the rest (0.4-0.6 ms), so the bar for the predicted rest sits above 11.
+_FORK_MIN_S = 0.016
 
 # signal.SIGKILL wherever os.fork exists; importing signal would cost 0.9 ms.
 _SIGKILL = 9
 
 
-def _pair_helper_pays(checks: list) -> bool:
-    """Whether a helper process may (congruence._may_fork) and should run some of checks."""
-    return len(checks) >= _FORK_MIN_PAIRS and _may_fork()
+def _pair_helper_pays(pairs: _PairRun, k: int) -> bool:
+    """Whether a helper process should run the pairs of pairs.checks from k on, and may (congruence._may_fork).
+
+    The k pairs run so far, in pairs.spent seconds, must predict at least
+    _FORK_MIN_S for the rest, at least two of them: cheap pairs never fork,
+    however many pass the screen.  k must be 2 or more, since the first pair
+    counts traces that later pairs reuse and alone predicts too much.  And no
+    pair from k on may have a Sturm walk that could fork its own helper
+    (congruence._walk_may_fork): in a process that has or is a helper that
+    walk could not, so the pair would run at full length where the serial scan
+    splits it in two.  Pairs up to the last of those are left to the parent.
+    """
+    n = len(pairs.checks)
+    if k < 2 or n - k < 2 or pairs.spent * (n - k) < _FORK_MIN_S * k:
+        return False
+    if pairs.short_from is None:  # found once, from the end: the index after the last such pair, or k
+        pairs.short_from = k
+        for j in range(n - 1, k - 1, -1):
+            a, b = pairs.checks[j]
+            if _walk_may_fork(a.data, b.data, pairs.p):
+                pairs.short_from = j + 1
+                break
+    return k >= pairs.short_from and _may_fork()
 
 
-def _fork_pairs(checks: list, p: int, as_json: bool) -> _PairHelper | None:
-    """A child that runs the pairs of checks from the last one down and sends each result.
+def _fork_pairs(checks: list, k: int, p: int, as_json: bool) -> _PairHelper | None:
+    """A child that runs the pairs of checks from the last one down to checks[k] and sends each result.
 
     A record is the kind as one byte, the length of the UTF-8 text as four
     bytes and the text.  None when the fork fails.
     """
 
     def send(w):
-        for a, b in reversed(checks):
+        for a, b in reversed(checks[k:]):
             kind, text = _check_pair(a, b, p, as_json)
             data = text.encode()
             record = memoryview(bytes((kind,)) + len(data).to_bytes(4, "little") + data)
@@ -346,6 +373,47 @@ class _PairHelper(_Helper):
         super().stop()
 
 
+class _PairRun:
+    """The results of a scan's screened-in pairs, checks, in order; a helper process may run the later ones.
+
+    Before each pair it runs, while no helper has been forked, next() asks
+    _pair_helper_pays whether to fork one for that pair and the rest.  Once
+    one runs, next() first reads its pipe, and from the lowest pair it has
+    sent takes the sent results and ends it.  close() ends and reaps it.
+    """
+
+    def __init__(self, checks: list, p: int, as_json: bool) -> None:
+        self.checks, self.p, self.as_json = checks, p, as_json
+        self.k = 0  # the index of the next pair
+        self.spent = 0.0  # seconds spent in _check_pair here
+        self.short_from = None  # see _pair_helper_pays
+        self.forked = False
+        self.helper = None
+        self.sent = {}
+
+    def next(self) -> tuple[int, str]:
+        """The _check_pair result of the next pair."""
+        k = self.k
+        self.k += 1
+        if self.helper is not None:
+            if self.helper.read(self.sent) <= k:
+                self.helper.stop()  # the child has sent this pair and every later one; reaped by close
+            if k in self.sent:
+                return self.sent[k]
+        elif not self.forked and _pair_helper_pays(self, k):
+            self.forked = True
+            self.helper = _fork_pairs(self.checks, k, self.p, self.as_json)
+        start = perf_counter()
+        result = _check_pair(*self.checks[k], self.p, self.as_json)
+        self.spent += perf_counter() - start
+        return result
+
+    def close(self) -> None:
+        if self.helper is not None:
+            self.helper.stop()
+            _reap(self.helper.pid)
+
+
 def _cmd_scan(args) -> int:
     p = _odd_prime(args.p)
     with open(args.file, encoding="utf-8") as fh:
@@ -363,33 +431,21 @@ def _cmd_scan(args) -> int:
             print("skipping %s: %s" % (rec.label, why), file=sys.stderr)
             continue
         eligible.append((rec, *_screen_key(residues, p.bit_length())))
-    # One flag per pair, set where the residues differ at a prime set for both:
+    # A pair whose residues differ at a prime set for both is ruled out:
     # check_congruence would return Failed at that prime or an earlier one.
-    ruled_out = bytearray()
-    checks = []  # the other pairs, in order
-    for i, (a, va, ma) in enumerate(eligible):
-        for b, vb, mb in eligible[i + 1 :]:
-            out = ((va ^ vb) & ma & mb) != 0
-            ruled_out.append(out)
-            if not out:
-                checks.append((a, b))
-    helper = _fork_pairs(checks, p, args.json) if _pair_helper_pays(checks) else None
+    checks = [(a, b) for i, (a, va, ma) in enumerate(eligible) for b, vb, mb in eligible[i + 1 :]
+              if not (va ^ vb) & ma & mb]
     failed = "%%s / %%s: congruence %s" % CongruenceStatus.FAILED
     code = EXIT_OK
     reports = []
-    sent = {}
-    flags = iter(ruled_out)
-    k = 0  # the index in checks of the next screened-in pair
+    pairs = _PairRun(checks, p, args.json)
     try:
-        for i, (a, _, _) in enumerate(eligible):
-            for b, _, _ in eligible[i + 1 :]:
-                if next(flags):
+        for i, (a, va, ma) in enumerate(eligible):
+            for b, vb, mb in eligible[i + 1 :]:
+                if (va ^ vb) & ma & mb:
                     print(failed % (a.label, b.label), file=sys.stderr)
                     continue
-                if helper is not None and helper.read(sent) <= k:
-                    helper.stop()  # the child has sent this pair and every later one; reaped at the end
-                kind, text = sent[k] if k in sent else _check_pair(a, b, p, args.json)
-                k += 1
+                kind, text = pairs.next()
                 if kind == _LINE:
                     print(text, file=sys.stderr)
                     continue
@@ -398,9 +454,7 @@ def _cmd_scan(args) -> int:
                     code = EXIT_VIOLATED
         sys.stdout.write(emit_json_list(reports) if args.json else "\n".join(reports))
     finally:
-        if helper is not None:
-            helper.stop()
-            _reap(helper.pid)  # after the output, so the child's exit overlaps it
+        pairs.close()  # after the output, so the child's exit overlaps it
     return code
 
 

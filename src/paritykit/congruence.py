@@ -33,7 +33,10 @@ scan ends, also by a mismatch or an exception.  So the verdict, the stored
 traces and every error are those of the serial walk: a prime the child did
 not send is counted by the parent.  While cli's all-pairs scan runs its own
 helper over the pairs (see cli), neither of its processes forks this one, so
-a request never has more than two processes.  There is no setting for this.
+a request never has more than two processes.  That helper takes only pairs
+whose walks could not fork this one: _walk_may_fork says whether a pair's
+walk reaches _FORK_MIN_BOUND, the lowest bound at which _helper_pays can
+hold.  There is no setting for this.
 
 An all-pairs scan rules most pairs out before this walk.  screen_residues
 gives a curve's a_ell mod p at the primes below 20 that are good for it, not
@@ -72,6 +75,10 @@ _BOUND_CAP = 20000
 # nothing, so this weight is 8-16 ms of counting: the family pair at D = 2
 # (weight 793) ran slower forked, D = 5 (4425) faster.
 _FORK_MIN_WORK = 2000.0
+
+# The lowest bound at which a walk can reach _FORK_MIN_WORK: two counts at
+# each prime from _BSGS_MIN_ELL up to 1511 weigh 2008.
+_FORK_MIN_BOUND = 1511
 
 
 class CongruenceStatus(enum.Enum):
@@ -233,6 +240,19 @@ def _helper_pays(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> boo
         if ell != p
     )
     return work >= _FORK_MIN_WORK
+
+
+def _walk_may_fork(e1: CurveData, e2: CurveData, p: int) -> bool:
+    """Whether check_congruence's walk for e1, e2 at p could fork a helper: whether it scans to _FORK_MIN_BOUND.
+
+    The bound is the one check_congruence scans to: the full level's, else the
+    reduced level's, capped at _BOUND_CAP.  Below _FORK_MIN_BOUND, _helper_pays
+    is False whatever traces are stored.
+    """
+    bound = _sturm_level(e1, e2, p, reduced=False)[1]
+    if bound > _BOUND_CAP:
+        bound = _sturm_level(e1, e2, p, reduced=True)[1]
+    return bound >= _FORK_MIN_BOUND
 
 
 def _fork_helper(e1: CurveData, e2: CurveData, p: int, primes: list[int]) -> _Helper | None:

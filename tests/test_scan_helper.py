@@ -7,9 +7,10 @@ fork, and the tests replace it to force either path.  meeting_at pins where
 the two sides meet with pipes the test owns, so that each case is exact.
 
 cli's scan may fork one child that runs the pairs that pass the screen from
-the last one down while the parent runs them from the first one up; from the
-lowest pair the child has sent, the parent uses the child's results.
-cli._pair_helper_pays decides, and pairs_meet_at pins the meeting point.
+the last one down while the parent runs them up from the pair where it forked;
+from the lowest pair the child has sent, the parent uses the child's results.
+cli._pair_helper_pays decides before each of the parent's pairs, the tests
+replace it or the clock it reads, and pairs_meet_at pins the meeting point.
 """
 
 import contextlib
@@ -374,10 +375,10 @@ def test_a_long_scan_forks_once_and_a_short_one_never(forks, family_file):
     # D = 2 scans to 768: too little counting past 230 to repay a fork.
     assert check_congruence(base_curve(2), member(2, 3), 3).status is CongruenceStatus.VERIFIED
     assert len(forks) == 1
-    # 120 D = 1 pairs pass the screen, each too short for a Sturm helper; 10 are too few to fork for
-    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
-    assert len(forks) == 2
-    assert run(["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3"]) == 0
+    # 120 D = 1 pairs pass the screen, each too short for a Sturm helper; at 0.4 ms each, long enough for a pair helper
+    with pytest.MonkeyPatch.context() as m:
+        pairs_take(m, 0.0004)
+        assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
     assert len(forks) == 2
 
 
@@ -474,7 +475,32 @@ def mixed_file(tmp_path_factory):
 
 
 def pair_helper(monkeypatch, on):
-    monkeypatch.setattr(paritykit.cli, "_pair_helper_pays", lambda checks: on)
+    """Force the pair helper before the first pair, or never."""
+    monkeypatch.setattr(paritykit.cli, "_pair_helper_pays", lambda pairs, k: on)
+
+
+def pairs_take(monkeypatch, seconds):
+    """Make each pair the parent runs take seconds on the clock the pair helper's gate reads."""
+    now = [0.0]
+
+    def clock():
+        now[0] += seconds  # _PairRun reads it before and after each pair, and at nothing else
+        return now[0]
+
+    monkeypatch.setattr(paritykit.cli, "perf_counter", clock)
+
+
+def forked_at(monkeypatch):
+    """The index of the first pair of each pair helper forked, and the number of pairs."""
+    at = []
+    real = paritykit.cli._fork_pairs
+
+    def fork_pairs(checks, k, *args):
+        at.append((k, len(checks)))
+        return real(checks, k, *args)
+
+    monkeypatch.setattr(paritykit.cli, "_fork_pairs", fork_pairs)
+    return at
 
 
 @contextlib.contextmanager
@@ -575,9 +601,10 @@ def test_scan_output_equals_the_serial_scan(name, p, flags, forks, monkeypatch, 
     # the parent runs every pair but the last: no Sturm helper while the pair helper runs
     with pairs_meet_at(monkeypatch, 1) as ran:
         parallel = scan_outputs(argv, capsys)
-    assert len(forks) == 1
+    forked = len(forks)
     assert_nothing_left(fd)
     labels = screened_in(argv, monkeypatch, capsys)
+    assert forked == (1 if labels else 0)  # the gate is asked before a pair, so with none there is no fork
     if len(labels) > 1:  # with one pair, whether it arrives before the parent's first read is a race
         assert ran == labels[:-1]
     pair_helper(monkeypatch, False)
@@ -594,7 +621,7 @@ def test_the_parent_runs_no_pair_the_child_has_sent(flags, family_file, forks, m
 
     def check_pair(*args):
         if os.getpid() == parent:
-            ran.append(lowest[-1])
+            ran.append(lowest[-1] if lowest else 120)  # no read before the pair it forks at, of 120
         return real(*args)
 
     monkeypatch.setattr(paritykit.cli, "_check_pair", check_pair)
@@ -699,30 +726,129 @@ def test_a_child_held_inside_a_pair_does_not_keep_the_parent(family_file, forks,
     assert scan_outputs(argv, capsys) == parallel
 
 
-def test_a_scan_of_d7_pairs_forks_once(tmp_path, forks, monkeypatch, capsys):
-    curves = [base_curve(7), member(7, 3), member(7, 6)]
+D7_CURVES = [base_curve(7), member(7, 3), member(7, 6)]
+
+
+@pytest.fixture
+def d7_file(tmp_path):
+    """{base(7), member(7, 3), member(7, 6)}: three Verified pairs, each of whose Sturm scans forks on its own."""
     path = tmp_path / "d7.curves"
-    path.write_text("".join("c%d ? %s ?\n" % (i, c) for i, c in enumerate(curves)))
-    monkeypatch.setattr(paritykit.cli, "_FORK_MIN_PAIRS", 3)
-    fd = lowest_free_fd()
-    # every process of the request appends its pid to the log before it forks
+    path.write_text("".join("c%d ? %s ?\n" % (i, c) for i, c in enumerate(D7_CURVES)))
+    return path
+
+
+@contextlib.contextmanager
+def forking_pids(tmp_path, monkeypatch):
+    """Yields a list that, on leaving, holds the pid of every process of the request at each fork it made.
+
+    Each process appends its pid to a file the test owns before it forks.
+    """
     log = os.open(tmp_path / "forks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     fork = os.fork
+    pids = []
     try:
         with monkeypatch.context() as m:
             m.setattr(os, "fork", lambda: os.write(log, b"%d\n" % os.getpid()) and fork())
-            assert run(["scan", "--file", str(path), "-p", "3"]) == 0
+            yield pids
     finally:
         os.close(log)
-    assert (tmp_path / "forks").read_text() == "%d\n" % os.getpid()
+    pids += [int(line) for line in (tmp_path / "forks").read_text().split()]
+
+
+def test_a_scan_of_d7_pairs_forks_once(d7_file, tmp_path, forks, monkeypatch, capsys):
+    pair_helper(monkeypatch, True)
+    fd = lowest_free_fd()
+    with forking_pids(tmp_path, monkeypatch) as pids:
+        assert run(["scan", "--file", str(d7_file), "-p", "3"]) == 0
+    # the pair helper, and no Sturm helper in either process
+    assert pids == [os.getpid()]
     assert capsys.readouterr().out.count("congruence: Verified") == 3
     assert len(forks) == 1
     assert_nothing_left(fd)
     # alone, each of the three pairs forks a Sturm helper
-    for i, c in enumerate(curves):
-        for other in curves[i + 1 :]:
+    for i, c in enumerate(D7_CURVES):
+        for other in D7_CURVES[i + 1 :]:
             assert check_congruence(c, other, 3).status is CongruenceStatus.VERIFIED
     assert len(forks) == 4
+
+
+def test_pairs_whose_sturm_scans_fork_get_no_pair_helper(d7_file, tmp_path, forks, reaped, monkeypatch, capsys):
+    at = forked_at(monkeypatch)
+    fd = lowest_free_fd()
+    with forking_pids(tmp_path, monkeypatch) as pids:
+        assert run(["scan", "--file", str(d7_file), "-p", "3"]) == 0
+    # the first two pairs' Sturm scans fork their helpers from the main process, each reaped before the next
+    # pair; the third finds every trace stored
+    assert pids == [os.getpid()] * 2
+    assert at == []
+    assert len(forks) == len(reaped) == 2
+    assert capsys.readouterr().out.count("congruence: Verified") == 3
+    assert_nothing_left(fd)
+
+
+def test_sturm_scans_below_the_fork_bound_never_fork(forks):
+    weight, bound = 0.0, None
+    for ell in paritykit.congruence._PRIMES:
+        if ell >= _BSGS_MIN_ELL and bound is None:
+            weight += 2 * ell**0.25
+            if weight >= paritykit.congruence._FORK_MIN_WORK:
+                bound = ell
+    assert bound == paritykit.congruence._FORK_MIN_BOUND
+    # scans to 96, 768, 2880 and 10752: only the last two may fork, and do
+    for D in (1, 2, 5, 7):
+        e1, e2 = CurveData.of(base_curve(D)), CurveData.of(member(D, 3))
+        may = paritykit.congruence._walk_may_fork(e1, e2, 3)
+        before = len(forks)
+        assert check_congruence(e1, e2, 3).status is CongruenceStatus.VERIFIED
+        assert may == (len(forks) > before) == (D >= 5)
+
+
+def test_cheap_pairs_never_fork_however_many(family_file, forks, monkeypatch, capsys):
+    at = forked_at(monkeypatch)
+    # 120 pairs at 0.1 ms predict 11.8 ms after the first two, and less after each later one
+    pairs_take(monkeypatch, 0.0001)
+    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
+    assert at == [] and forks == []
+    capsys.readouterr()
+
+
+def test_the_pair_helper_forks_once_the_pairs_run_predict_enough_time(forks, monkeypatch, capsys):
+    argv = ["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3", "--json"]
+    at = forked_at(monkeypatch)
+    # 10 pairs at 1 ms predict 8 ms after the first two, the first to count: too little
+    pairs_take(monkeypatch, 0.001)
+    serial_run = scan_outputs(argv, capsys)
+    assert at == [] and forks == []
+    # at 3 ms they predict 24 ms, and the helper runs the eight from the third on
+    fd = lowest_free_fd()
+    pairs_take(monkeypatch, 0.003)
+    assert scan_outputs(argv, capsys) == serial_run
+    assert at == [(2, 10)] and len(forks) == 1
+    assert_nothing_left(fd)
+
+
+def test_the_pair_helper_starts_after_the_last_pair_whose_sturm_scan_may_fork(
+        family_file, forks, monkeypatch, capsys):
+    argv = ["scan", "--file", str(family_file), "-p", "3"]
+    pair_helper(monkeypatch, False)
+    serial_run = scan_outputs(argv, capsys)
+    monkeypatch.undo()
+    asked = []
+
+    def walk_may_fork(e1, e2, p):
+        asked.append(119 - len(asked))  # asked from the last pair down
+        return asked[-1] == 40
+
+    monkeypatch.setattr(paritykit.cli, "_walk_may_fork", walk_may_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    at = forked_at(monkeypatch)
+    pairs_take(monkeypatch, 0.001)
+    fd = lowest_free_fd()
+    assert scan_outputs(argv, capsys) == serial_run
+    # asked once, after the first two pairs, down to the one that may fork
+    assert asked == list(range(119, 39, -1))
+    assert at == [(41, 120)]
+    assert_nothing_left(fd)
 
 
 @pytest.mark.parametrize("name", ["congruent_pair.curves", "triage_p5.curves"])
