@@ -21,14 +21,14 @@ prime or an earlier one; every other pair goes through check_congruence.
 
 A scan whose pairs past the screen are worth it uses a second core, where
 congruence._may_fork allows a helper process.  Before each such pair, until
-it forks, the parent asks _pair_helper_pays: the pairs run so far must predict
-at least _FORK_MIN_S for the rest, and no pair from there on may have a Sturm
-walk long enough to fork its own helper.  Then it forks one child, which runs
-the rest from the last one down and sends each pair's result over a pipe: its
-stderr line, or its report's text and whether it violates the relation.  The
-parent runs them on up and reads the pipe, without blocking, before each; from
-the lowest pair the child has sent it takes the sent results and ends the
-child, whatever pair it is in.  So stdout, stderr, the exit code and every
+it forks, the parent asks _pair_helper_pays: the pairs it has timed must
+predict at least _FORK_MIN_S for the rest, and no pair from there on may have
+a Sturm walk long enough to fork its own helper.  Then it forks one child,
+which runs the rest from the last one down and sends each pair's result over
+a pipe: its stderr line, or its report's text and whether it violates the
+relation.  The parent runs them on up and reads the pipe, without blocking,
+before each; from the lowest pair the child has sent it takes the sent
+results and ends the child, whatever pair it is in.  So stdout, stderr, the exit code and every
 error are those of the serial loop: a pair the child did not send is run by
 the parent.  While the child runs, neither process forks a Sturm helper.
 There is no setting for this.
@@ -310,26 +310,31 @@ _SIGKILL = 9
 def _pair_helper_pays(pairs: _PairRun, k: int) -> bool:
     """Whether a helper process should run the pairs of pairs.checks from k on, and may (congruence._may_fork).
 
-    The k pairs run so far, in pairs.spent seconds, must predict at least
-    _FORK_MIN_S for the rest, at least two of them: cheap pairs never fork,
-    however many pass the screen.  k must be 2 or more, since the first pair
-    counts traces that later pairs reuse and alone predicts too much.  And no
-    pair from k on may have a Sturm walk that could fork its own helper
-    (congruence._walk_may_fork): in a process that has or is a helper that
-    walk could not, so the pair would run at full length where the serial scan
-    splits it in two.  Pairs up to the last of those are left to the parent.
+    The pairs timed since pairs.start, in pairs.spent seconds, must predict at
+    least _FORK_MIN_S for the rest, at least two of them: cheap pairs never
+    fork, however many pass the screen.  Two must have been timed, since the
+    first counts traces that later pairs reuse and alone predicts too much.
+    The first time that holds, no pair from k on may have a Sturm walk that
+    could fork its own helper (congruence._walk_may_fork): in a process that
+    has or is a helper that walk could not, so the pair would run at full
+    length where the serial scan splits it in two.  If one has, the parent
+    runs the pairs up to the last of those, and the timing starts again after
+    it, since such a pair says nothing of what the rest cost.
     """
     n = len(pairs.checks)
-    if k < 2 or n - k < 2 or pairs.spent * (n - k) < _FORK_MIN_S * k:
+    if k == pairs.start:
+        pairs.spent = 0.0
+    timed = k - pairs.start
+    if timed < 2 or n - k < 2 or pairs.spent * (n - k) < _FORK_MIN_S * timed:
         return False
-    if pairs.short_from is None:  # found once, from the end: the index after the last such pair, or k
-        pairs.short_from = k
+    if not pairs.looked:
+        pairs.looked = True
         for j in range(n - 1, k - 1, -1):
             a, b = pairs.checks[j]
             if _walk_may_fork(a.data, b.data, pairs.p):
-                pairs.short_from = j + 1
-                break
-    return k >= pairs.short_from and _may_fork()
+                pairs.start = j + 1
+                return False
+    return _may_fork()
 
 
 def _fork_pairs(checks: list, k: int, p: int, as_json: bool) -> _PairHelper | None:
@@ -385,8 +390,9 @@ class _PairRun:
     def __init__(self, checks: list, p: int, as_json: bool) -> None:
         self.checks, self.p, self.as_json = checks, p, as_json
         self.k = 0  # the index of the next pair
-        self.spent = 0.0  # seconds spent in _check_pair here
-        self.short_from = None  # see _pair_helper_pays
+        self.start = 0  # the first pair timed in spent
+        self.spent = 0.0  # seconds spent in _check_pair here since start
+        self.looked = False  # whether _pair_helper_pays has looked for pairs whose Sturm walk may fork
         self.forked = False
         self.helper = None
         self.sent = {}

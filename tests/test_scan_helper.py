@@ -755,35 +755,31 @@ def forking_pids(tmp_path, monkeypatch):
     pids += [int(line) for line in (tmp_path / "forks").read_text().split()]
 
 
-def test_a_scan_of_d7_pairs_forks_once(d7_file, tmp_path, forks, monkeypatch, capsys):
-    pair_helper(monkeypatch, True)
-    fd = lowest_free_fd()
-    with forking_pids(tmp_path, monkeypatch) as pids:
-        assert run(["scan", "--file", str(d7_file), "-p", "3"]) == 0
-    # the pair helper, and no Sturm helper in either process
-    assert pids == [os.getpid()]
-    assert capsys.readouterr().out.count("congruence: Verified") == 3
-    assert len(forks) == 1
-    assert_nothing_left(fd)
-    # alone, each of the three pairs forks a Sturm helper
-    for i, c in enumerate(D7_CURVES):
-        for other in D7_CURVES[i + 1 :]:
-            assert check_congruence(c, other, 3).status is CongruenceStatus.VERIFIED
-    assert len(forks) == 4
-
-
-def test_pairs_whose_sturm_scans_fork_get_no_pair_helper(d7_file, tmp_path, forks, reaped, monkeypatch, capsys):
+@pytest.mark.parametrize("forced", [True, False], ids=["pair-helper", "sturm-helpers"])
+def test_a_scan_of_d7_pairs_runs_no_third_process(forced, d7_file, tmp_path, forks, reaped, monkeypatch, capsys):
+    if forced:
+        pair_helper(monkeypatch, True)
     at = forked_at(monkeypatch)
     fd = lowest_free_fd()
     with forking_pids(tmp_path, monkeypatch) as pids:
         assert run(["scan", "--file", str(d7_file), "-p", "3"]) == 0
-    # the first two pairs' Sturm scans fork their helpers from the main process, each reaped before the next
-    # pair; the third finds every trace stored
-    assert pids == [os.getpid()] * 2
-    assert at == []
-    assert len(forks) == len(reaped) == 2
     assert capsys.readouterr().out.count("congruence: Verified") == 3
     assert_nothing_left(fd)
+    if forced:
+        # the pair helper, and no Sturm helper in either process
+        assert pids == [os.getpid()] and at == [(0, 3)]
+        assert len(forks) == 1
+    else:
+        # no pair helper, since each pair's Sturm scan may fork: the first two fork theirs from the main
+        # process, each reaped before the next pair, and the third finds every trace stored
+        assert pids == [os.getpid()] * 2 and at == []
+        assert len(forks) == len(reaped) == 2
+    # alone, each of the three pairs forks a Sturm helper
+    before = len(forks)
+    for i, c in enumerate(D7_CURVES):
+        for other in D7_CURVES[i + 1 :]:
+            assert check_congruence(c, other, 3).status is CongruenceStatus.VERIFIED
+    assert len(forks) == before + 3
 
 
 def test_sturm_scans_below_the_fork_bound_never_fork(forks):
@@ -803,36 +799,35 @@ def test_sturm_scans_below_the_fork_bound_never_fork(forks):
         assert may == (len(forks) > before) == (D >= 5)
 
 
-def test_cheap_pairs_never_fork_however_many(family_file, forks, monkeypatch, capsys):
-    at = forked_at(monkeypatch)
+@pytest.mark.parametrize("name, seconds, at", [
     # 120 pairs at 0.1 ms predict 11.8 ms after the first two, and less after each later one
-    pairs_take(monkeypatch, 0.0001)
-    assert run(["scan", "--file", str(family_file), "-p", "3"]) == 0
-    assert at == [] and forks == []
-    capsys.readouterr()
-
-
-def test_the_pair_helper_forks_once_the_pairs_run_predict_enough_time(forks, monkeypatch, capsys):
-    argv = ["scan", "--file", str(DATA / "family_d1.curves"), "-p", "3", "--json"]
-    at = forked_at(monkeypatch)
-    # 10 pairs at 1 ms predict 8 ms after the first two, the first to count: too little
-    pairs_take(monkeypatch, 0.001)
-    serial_run = scan_outputs(argv, capsys)
-    assert at == [] and forks == []
+    ("family", 0.0001, []),
+    # 10 pairs at 1 ms predict 8 ms after the first two, the first to count
+    ("family_d1.curves", 0.001, []),
     # at 3 ms they predict 24 ms, and the helper runs the eight from the third on
+    ("family_d1.curves", 0.003, [(2, 10)]),
+], ids=["120-cheap", "10-at-1ms", "10-at-3ms"])
+def test_the_pair_helper_forks_once_the_pairs_run_predict_enough_time(
+        name, seconds, at, forks, monkeypatch, capsys, request):
+    path = request.getfixturevalue("family_file") if name == "family" else DATA / name
+    argv = ["scan", "--file", str(path), "-p", "3", "--json"]
+    with monkeypatch.context() as m:
+        pair_helper(m, False)
+        serial_run = scan_outputs(argv, capsys)
+    forked = forked_at(monkeypatch)
+    pairs_take(monkeypatch, seconds)
     fd = lowest_free_fd()
-    pairs_take(monkeypatch, 0.003)
     assert scan_outputs(argv, capsys) == serial_run
-    assert at == [(2, 10)] and len(forks) == 1
+    assert forked == at and len(forks) == len(at)
     assert_nothing_left(fd)
 
 
 def test_the_pair_helper_starts_after_the_last_pair_whose_sturm_scan_may_fork(
         family_file, forks, monkeypatch, capsys):
     argv = ["scan", "--file", str(family_file), "-p", "3"]
-    pair_helper(monkeypatch, False)
-    serial_run = scan_outputs(argv, capsys)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        pair_helper(m, False)
+        serial_run = scan_outputs(argv, capsys)
     asked = []
 
     def walk_may_fork(e1, e2, p):
@@ -840,14 +835,13 @@ def test_the_pair_helper_starts_after_the_last_pair_whose_sturm_scan_may_fork(
         return asked[-1] == 40
 
     monkeypatch.setattr(paritykit.cli, "_walk_may_fork", walk_may_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     at = forked_at(monkeypatch)
     pairs_take(monkeypatch, 0.001)
     fd = lowest_free_fd()
     assert scan_outputs(argv, capsys) == serial_run
-    # asked once, after the first two pairs, down to the one that may fork
+    # asked once, after the first two pairs, down to the one that may fork; the two after it are timed again
     assert asked == list(range(119, 39, -1))
-    assert at == [(41, 120)]
+    assert at == [(43, 120)] and len(forks) == 1
     assert_nothing_left(fd)
 
 
