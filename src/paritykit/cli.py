@@ -28,10 +28,10 @@ which runs the rest from the last one down and sends each pair's result over
 a pipe: its stderr line, or its report's text and whether it violates the
 relation.  The parent runs them on up and reads the pipe, without blocking,
 before each; from the lowest pair the child has sent it takes the sent
-results and ends the child, whatever pair it is in.  So stdout, stderr, the exit code and every
-error are those of the serial loop: a pair the child did not send is run by
-the parent.  While the child runs, neither process forks a Sturm helper.
-There is no setting for this.
+results and ends the child, whatever pair it is in.  So stdout, stderr, the
+exit code and every error are those of the serial loop: a pair the child did
+not send is run by the parent.  While the child runs, neither process forks a
+Sturm helper.  There is no setting for this.
 """
 
 from __future__ import annotations

@@ -47,9 +47,9 @@ check_congruence.  On seeded files of 100/200/400 scan-triage-style records,
 all supersingular at 5, `python -m paritykit.cli scan -p 5` took
 0.166/0.504/1.697 s of wall time without the screen and 0.090/0.163/0.407 s
 with it (medians of 7, 2-vCPU VM, Python 3.11.7).  With cli's comparison of
-packed residues and its pair helper, which each of them forks for its
-35/120/434 screened-in pairs, they took 0.090/0.115/0.227 s, against
-0.087/0.127/0.282 s without either.
+packed residues they took 0.105/0.140/0.281 s, against 0.107/0.152/0.358 s
+before (medians of 15).  None of them forks cli's pair helper: their
+35/120/434 screened-in pairs fail at about 20-30 us each.
 """
 
 from __future__ import annotations
