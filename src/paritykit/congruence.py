@@ -58,7 +58,7 @@ import enum
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import _PRIMES, factor, is_prime
 from .local import _BSGS_MIN_ELL, CurveData
@@ -90,13 +90,14 @@ class CongruenceStatus(enum.Enum):
         return self.value
 
 
-class CongruenceVerdict(NamedTuple):
-    status: CongruenceStatus
-    level: int | None
-    bound: int | None
-    checked_primes: int
-    witness: tuple[int, int, int] | None
-    caveat: str
+class CongruenceVerdict(namedtuple("CongruenceVerdict", "status level bound checked_primes witness caveat")):
+    """The outcome of check_congruence.
+
+    status: CongruenceStatus; level, bound: int or None; checked_primes: int;
+    witness: (ell, a1, a2) at the first mismatch, or None; caveat: str.
+    """
+
+    __slots__ = ()
 
 
 def sturm_bound(level: int) -> int:

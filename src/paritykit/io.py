@@ -15,28 +15,25 @@ from __future__ import annotations
 
 import re
 from _json import encode_basestring_ascii
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .congruence import CongruenceVerdict
 from .local import CurveData
 from .parity import ParityReport
-from .weierstrass import CurveModel, parse_curve
+from .weierstrass import parse_curve
 
 _LINE_RE = re.compile(r"^(\S+)\s+(\d+|\?)\s+(\[[^\]]*\])\s+(\d+|\?)$")
 _BIG = 1 << 53
 
 
-class _Record(NamedTuple):
-    label: str
-    curve: CurveModel
-    conductor: int | None
-    rank: int | None
+class CurveRecord(namedtuple("CurveRecord", "label curve conductor rank")):
+    """One line of a curve file: label: str; curve: CurveModel; conductor, rank: int or None.
 
+    Without __slots__ an instance has the __dict__ that data is cached in;
+    equality and _replace stay those of the four fields.
+    """
 
-class CurveRecord(_Record):
-    # A subclass, so that an instance has the __dict__ which data is cached in;
-    # equality and _replace stay those of the four fields.
     @cached_property
     def data(self) -> CurveData:
         return CurveData(self.curve)

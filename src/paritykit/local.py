@@ -29,15 +29,18 @@ when given a bare model; it computes them again only for a model minimal at
 ell that it builds and, at 2 and 3, after moving the singular point to (0, 0).
 A model is minimal and good at a prime that does not divide its discriminant,
 so trace() counts there straight from the model, with no primality proof,
-minimal model or Tate's algorithm.  Nothing outlives the CurveData: this
-module, weierstrass.py and arith.py keep no memo.
+minimal model or Tate's algorithm.  _local() is local() for a prime the caller
+has proven and serves such a prime the same way; parity reads it at p, proven
+at the public boundary, and at primes from bad; local() and tate_local prove
+ell first and raise ValueError on a non-prime.  Nothing outlives the
+CurveData: this module, weierstrass.py and arith.py keep no memo.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .arith import _IS_PRIME_BOUND, _valuation, factor, is_prime, jacobi
 from .weierstrass import CurveModel, Invariants, _minimal_at, _translate, invariants
@@ -62,20 +65,16 @@ class ReductionType(enum.Enum):
         return self.value
 
 
-class LocalData(NamedTuple):
+class LocalData(namedtuple("LocalData", "ell red_type cond_exp v_disc trace kodaira")):
     """Local invariants of a curve at one prime.
 
+    ell, cond_exp, v_disc, trace: int; red_type: ReductionType; kodaira: str.
     trace follows the usual convention: the Frobenius trace at good primes,
     +1/-1 at split/nonsplit multiplicative primes, 0 at additive primes.
     kodaira is a diagnostic string ("I0", "I5", "III*", ...).
     """
 
-    ell: int
-    red_type: ReductionType
-    cond_exp: int
-    v_disc: int
-    trace: int
-    kodaira: str
+    __slots__ = ()
 
     def mod_p_cond_exp(self, p: int) -> int:
         """Conductor exponent at ell of E[p], for an odd prime p != ell.
@@ -105,10 +104,10 @@ class LocalData(NamedTuple):
         return self.cond_exp - 1 if p == 3 and order3 else self.cond_exp
 
 
-class EulerPoly(NamedTuple):
-    """Euler factor P_ell(X) as coefficients in ascending degree."""
+class EulerPoly(namedtuple("EulerPoly", "coeffs")):
+    """Euler factor P_ell(X) as coefficients in ascending degree: coeffs, a tuple of ints."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = []
@@ -405,10 +404,14 @@ def _additive_type_small(m: CurveModel, inv: Invariants, p: int, n: int) -> tupl
     raise ArithmeticError("model not minimal at %d after reduction (internal error)" % p)
 
 
-def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
-    """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
+def _require_prime(ell) -> None:
     if not isinstance(ell, int) or ell < 2 or not is_prime(ell):
         raise ValueError("%r is not a prime" % (ell,))
+
+
+def tate_local(c: CurveModel | CurveData, ell: int) -> LocalData:
+    """Reduction type, conductor exponent, v_ell of the minimal discriminant, trace."""
+    _require_prime(ell)
     return _tate_local(CurveData.of(c), ell)
 
 
@@ -494,11 +497,21 @@ class CurveData:
 
     def local(self, ell: int) -> LocalData:
         """tate_local at ell, served from the traces and bad-prime data when known."""
-        if ell in self.traces:
-            return LocalData(ell, ReductionType.GOOD, 0, 0, self.traces[ell], "I0")
+        _require_prime(ell)
+        return self._local(ell)
+
+    def _local(self, ell: int) -> LocalData:
+        """local() at a prime ell below 2^64 that the caller has proven, such as p or one from bad.
+
+        At a prime that does not divide the model's discriminant the model is
+        minimal and good, so trace() counts a_ell straight from it, with no
+        primality proof, minimal model, valuation or Tate step.
+        """
+        if ell in self.traces or self.inv.disc % ell:
+            return LocalData(ell, ReductionType.GOOD, 0, 0, self.trace(ell), "I0")
         if self._bad is not None and ell in self._bad:
             return self._bad[ell]
-        d = tate_local(self, ell)
+        d = _tate_local(self, ell)
         if d.red_type is ReductionType.GOOD:
             self.traces[ell] = d.trace
         return d
@@ -533,7 +546,7 @@ def is_supersingular(c: CurveModel | CurveData, p: int) -> bool:
     """True when a_p(E) = 0 exactly (the strict form, applied at every odd p)."""
     if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    d = CurveData.of(c).local(p)
+    d = CurveData.of(c)._local(p)
     if d.red_type is not ReductionType.GOOD:
         raise ValueError("p must be a good prime")
     return d.trace == 0

@@ -13,65 +13,62 @@ ranks satisfy r_1 + |S_1| = r_2 + |S_2| (mod 2).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .congruence import CongruenceStatus, CongruenceVerdict
 from .local import CurveData, LocalData, ReductionType, is_supersingular
 from .weierstrass import CurveModel
 
 
-class DropEvidence(NamedTuple):
-    ell: int
-    e1_reasons: tuple[str, ...]
-    e2_reasons: tuple[str, ...]
-    warnings: tuple[str, ...]
+class DropEvidence(namedtuple("DropEvidence", "ell e1_reasons e2_reasons warnings")):
+    """Why the conductor of E[p] drops at ell: ell: int; e1_reasons, e2_reasons, warnings: tuples of str."""
+
+    __slots__ = ()
 
     @property
     def in_sigma0(self) -> bool:
         return bool(self.e1_reasons or self.e2_reasons)
 
 
-class SigmaData(NamedTuple):
-    p: int
-    sigma: tuple[int, ...]
-    sigma0: tuple[int, ...]
-    evidence: dict[int, DropEvidence]
+class SigmaData(namedtuple("SigmaData", "p sigma sigma0 evidence")):
+    """p: int; sigma, sigma0: tuples of primes; evidence: dict of DropEvidence by ell."""
+
+    __slots__ = ()
 
 
-class TauRecord(NamedTuple):
-    ell: int
-    tau: int
-    delta_parity: int
-    matched_case: str
+class TauRecord(namedtuple("TauRecord", "ell tau delta_parity matched_case")):
+    """ell, tau, delta_parity: int; matched_case: str."""
+
+    __slots__ = ()
 
 
-class Hypothesis(NamedTuple):
-    id: str
-    detail: str
+class Hypothesis(namedtuple("Hypothesis", "id detail")):
+    """id, detail: str."""
+
+    __slots__ = ()
 
 
-class DeducedRank(NamedTuple):
-    parity: str
-    exact: int | None
-    candidates: tuple[int, ...] | None
-    curve: str | None = None
+class DeducedRank(namedtuple("DeducedRank", "parity exact candidates curve", defaults=(None,))):
+    """parity: str; exact: int or None; candidates: tuple of ints or None; curve: str or None."""
+
+    __slots__ = ()
 
 
-class ParityReport(NamedTuple):
-    curves: tuple[CurveModel, CurveModel]
-    conductors: tuple[int, int]
-    p: int
-    sigma_data: SigmaData
-    tau1: tuple[TauRecord, ...]
-    tau2: tuple[TauRecord, ...]
-    s1: frozenset[int]
-    s2: frozenset[int]
-    ranks: tuple[int | None, int | None]
-    relation_holds: bool | None
-    hypotheses: tuple[Hypothesis, ...]
-    congruence: CongruenceVerdict | None
-    labels: tuple[str, str] = ("E1", "E2")
-    deduced: DeducedRank | None = None
+class ParityReport(namedtuple(
+    "ParityReport",
+    "curves conductors p sigma_data tau1 tau2 s1 s2 ranks relation_holds hypotheses congruence labels deduced",
+    defaults=(("E1", "E2"), None),
+)):
+    """The report of parity_relation.
+
+    curves: (CurveModel, CurveModel); conductors: (int, int); p: int;
+    sigma_data: SigmaData; tau1, tau2: tuples of TauRecord; s1, s2: frozensets
+    of primes; ranks: (int or None, int or None); relation_holds: bool or None;
+    hypotheses: tuple of Hypothesis; congruence: CongruenceVerdict or None;
+    labels: (str, str), ("E1", "E2") by default; deduced: DeducedRank or None.
+    """
+
+    __slots__ = ()
 
     @property
     def parities(self) -> tuple[int | None, int | None]:
@@ -91,7 +88,7 @@ def outside_hypothesis(c: CurveModel | CurveData, p: int) -> str | None:
     e = CurveData.of(c)
     if is_supersingular(e, p):
         return None
-    a = e.local(p).trace  # stored by is_supersingular: nothing is counted twice
+    a = e._local(p).trace  # stored by is_supersingular: nothing is counted twice
     if a % p:
         return "not supersingular at %d" % p
     return "supersingular at %d, but a_%d = %d is outside the a_p = 0 hypothesis" % (p, p, a)
@@ -102,7 +99,7 @@ def check_supersingular_pair(c1: CurveModel | CurveData, c2: CurveModel | CurveD
     for name, e in (("E1", CurveData.of(c1)), ("E2", CurveData.of(c2))):
         why = outside_hypothesis(e, p)
         if why is not None:
-            raise ValueError("%s is %s%s" % (name, why, " (a_p must be 0)" if e.local(p).trace % p else ""))
+            raise ValueError("%s is %s%s" % (name, why, " (a_p must be 0)" if e._local(p).trace % p else ""))
 
 
 def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: int) -> SigmaData:
@@ -112,7 +109,7 @@ def compute_sigma0(c1: CurveModel | CurveData, c2: CurveModel | CurveData, p: in
     sigma = tuple(sorted({*e1.bad, *e2.bad, p}))
     evidence: dict[int, DropEvidence] = {}
     for ell in sorted({*e1.bad, *e2.bad} - {p}):
-        d1, d2 = e1.local(ell), e2.local(ell)
+        d1, d2 = e1._local(ell), e2._local(ell)
         f1, f2 = d1.mod_p_cond_exp(p), d2.mod_p_cond_exp(p)
         reasons: tuple[list[str], list[str]] = ([], [])
         for i, (mine, other, f) in enumerate(((d1, d2, f1), (d2, d1, f2))):
@@ -208,9 +205,10 @@ def parity_relation(
     e1, e2 = CurveData.of(c1), CurveData.of(c2)
     sigma_data = compute_sigma0(e1, e2, p)
     others = [ell for ell in sigma_data.sigma if ell != p]
-    tau1 = tuple(tau(e1.local(ell), p) for ell in others)
-    tau2 = tuple(tau(e2.local(ell), p) for ell in others)
-    s1, s2 = s_set(e1, sigma_data.sigma0, p), s_set(e2, sigma_data.sigma0, p)
+    tau1 = tuple(tau(e1._local(ell), p) for ell in others)
+    tau2 = tuple(tau(e2._local(ell), p) for ell in others)
+    sigma0 = frozenset(sigma_data.sigma0)  # within others, so s_set's tau records are in tau1 and tau2
+    s1, s2 = (frozenset(r.ell for r in t if r.ell in sigma0 and r.delta_parity == 1) for t in (tau1, tau2))
     relation_holds = None
     if rank1 is not None and rank2 is not None:
         relation_holds = (rank1 + len(s1)) % 2 == (rank2 + len(s2)) % 2

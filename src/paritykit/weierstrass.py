@@ -7,23 +7,20 @@ applies them to Fractions, Tate's algorithm at 2 and 3 (local.py) to integers.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _valuation, factor, is_prime
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class CurveModel(NamedTuple):
-    """Integral Weierstrass model y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6."""
+class CurveModel(namedtuple("CurveModel", "a1 a2 a3 a4 a6")):
+    """Integral Weierstrass model y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6, a1 to a6 ints."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ()
 
     def coefficients(self) -> list[int]:
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
@@ -43,16 +40,10 @@ def parse_curve(text: str) -> CurveModel:
     return CurveModel(*(int(g) for g in m.groups()))
 
 
-class Invariants(NamedTuple):
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    disc: int
-    j_num: int
-    j_den: int
+class Invariants(namedtuple("Invariants", "b2 b4 b6 b8 c4 c6 disc j_num j_den")):
+    """Ints b2, b4, b6, b8, c4, c6, disc; j = j_num / j_den in lowest terms, 0 / 0 if disc = 0."""
+
+    __slots__ = ()
 
 
 def invariants(c: CurveModel) -> Invariants:
@@ -81,13 +72,10 @@ def discriminant(c: CurveModel) -> int:
     return invariants(c).disc
 
 
-class Isomorphism(NamedTuple):
-    """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+class Isomorphism(namedtuple("Isomorphism", "u r s t")):
+    """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, with Fractions u, r, s, t."""
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ()
 
     @staticmethod
     def of(u, r=0, s=0, t=0) -> "Isomorphism":

@@ -595,16 +595,17 @@ print(json.dumps({"results": results, "loaded": loaded, "keys": keys}))
 """
 
 
-@pytest.mark.parametrize("mode", ["blocked", "open"])
-def test_runtime_never_imports_avoided_modules(mode):
-    # With every avoided module blocked, the README pair and the family scan
-    # still print their golden reports; left open, nothing imports any of
-    # them (sys.modules has none of their keys afterwards).
+def _avoiding_run(mode, avoided, python_flags=()):
+    """The README pair and the family scan in a child that blocks or leaves open the avoided modules.
+
+    Each must print its golden report, and none of the avoided modules may be
+    loaded at the end; returns the avoided names that are keys of sys.modules.
+    """
     cases = [c for c in GOLDEN_CASES if c["stdout"] in ("analyze_69_897.json", "scan_family_d1.json")]
     assert len(cases) == 2
     argvs = json.dumps([c["argv"] for c in cases])
     proc = subprocess.run(
-        [sys.executable, "-c", AVOIDING_RUN, mode, argvs, json.dumps(AVOIDED_MODULES)],
+        [sys.executable, *python_flags, "-c", AVOIDING_RUN, mode, argvs, json.dumps(avoided)],
         capture_output=True, text=True, env=_child_env(), cwd=DATA.parents[1], timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -613,7 +614,24 @@ def test_runtime_never_imports_avoided_modules(mode):
         assert code == case["exit"]
         assert out.encode() == (GOLDEN / case["stdout"]).read_bytes()
     assert child["loaded"] == []
-    assert child["keys"] == (AVOIDED_MODULES if mode == "blocked" else [])
+    return child["keys"]
+
+
+@pytest.mark.parametrize("mode", ["blocked", "open"])
+def test_runtime_never_imports_avoided_modules(mode):
+    # With every avoided module blocked, the README pair and the family scan
+    # still print their golden reports; left open, nothing imports any of
+    # them (sys.modules has none of their keys afterwards).
+    assert _avoiding_run(mode, AVOIDED_MODULES) == (AVOIDED_MODULES if mode == "blocked" else [])
+
+
+@pytest.mark.parametrize("mode", ["blocked", "open"])
+def test_runtime_never_imports_typing(mode):
+    # The records are collections.namedtuple classes, so nothing needs typing.
+    # It cannot join AVOIDED_MODULES, because site's .pth files may load it
+    # (and its submodules) before paritykit is imported; so both modes run
+    # under -S, without site.
+    assert _avoiding_run(mode, ["typing"], ["-S"]) == (["typing"] if mode == "blocked" else [])
 
 
 def test_cli_import_loads_no_json_package():

@@ -583,6 +583,25 @@ def test_count_points_input_gates():
         count_points(E11, 11)
 
 
+def test_curve_data_local_trusts_its_prime_and_local_still_proves_it(monkeypatch):
+    # The 11a model scaled by u = 2 is good at 2 but not minimal there, so 2
+    # divides its discriminant and only Tate's algorithm sees that it is good.
+    scaled = CurveModel(0, -4, 8, -160, -1280)
+    assert discriminant(scaled) % 2 == 0 and minimal_model_at(scaled, 2) == E11
+    for c in (E11, E69, scaled):
+        for ell in (2, 3, 5, 7, 11, 13, 23):
+            assert CurveData(c)._local(ell) == CurveData(c).local(ell) == tate_local(c, ell)
+    for ell in (10, -5, 1):
+        with pytest.raises(ValueError, match="^%d is not a prime$" % ell):
+            CurveData(E11).local(ell)
+    # At a prime to the model's discriminant _local counts a_ell from the
+    # model: no primality proof and no Tate step.
+    monkeypatch.setattr(local, "is_prime", lambda n: pytest.fail("is_prime(%d)" % n))
+    monkeypatch.setattr(local, "_tate_local", lambda e, ell: pytest.fail("_tate_local at %d" % ell))
+    e = CurveData(E11)
+    assert e._local(7) == LocalData(7, ReductionType.GOOD, 0, 0, -2, "I0") and e.traces == {7: -2}
+
+
 def test_bad_prime_from_2_64_up_is_refused_with_the_is_prime_message(monkeypatch, capsys):
     # y^2 = x^3 + q has discriminant -432 q^2.  CurveData.bad runs Tate's
     # algorithm on factor's primes without proving them again, but q = 2^64 + 13

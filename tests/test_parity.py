@@ -243,12 +243,17 @@ def test_s_sets_pair_mod_5():
     sigma0 = compute_sigma0(E69, E897, 5).sigma0
     assert s_set(E69, sigma0, 5) == frozenset({13})
     assert s_set(E897, sigma0, 5) == frozenset()
+    # parity_relation reads S1 and S2 off its own tau records.
+    report = parity_relation(E69, E897, 5, assume_congruent=True)
+    assert (report.s1, report.s2) == (frozenset({13}), frozenset())
 
 
 def test_s_sets_pair_mod_3():
     sigma0 = compute_sigma0(E32, E207, 3).sigma0
     assert s_set(E32, sigma0, 3) == frozenset({83})
     assert s_set(E207, sigma0, 3) == frozenset()
+    report = parity_relation(E32, E207, 3, assume_congruent=True)
+    assert (report.s1, report.s2) == (frozenset({83}), frozenset())
 
 
 def test_s_set_subset_of_sigma0():
